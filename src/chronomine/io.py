@@ -35,11 +35,27 @@ EXPORT_FORMATS = ("json", "csv", "dot")
 # ---------------------------------------------------------------------------
 # dataset CSV
 
+def _parse_event(path, lineno: int, sid: str, etype: str, raw_ts: str) -> Event:
+    """Event of one CSV row; rejects empty ids and non-finite timestamps."""
+    if not sid:
+        raise InputError(f"{path}:{lineno}: empty sid")
+    if not etype:
+        raise InputError(f"{path}:{lineno}: empty event type")
+    try:
+        timestamp = float(raw_ts)
+    except ValueError:
+        raise InputError(f"{path}:{lineno}: bad timestamp {raw_ts!r}") from None
+    if not math.isfinite(timestamp):
+        raise InputError(f"{path}:{lineno}: non-finite timestamp {raw_ts!r}")
+    return Event(etype, timestamp)
+
+
 def load_csv(path) -> SequenceDataset:
     """Read a labeled event CSV into a dataset.
 
-    Raises InputError with the offending line number for malformed rows and
-    with the sid for label inconsistencies.
+    Raises InputError with the offending line number for malformed rows
+    (wrong field count, empty sid or event type, a timestamp that is not a
+    finite number, a bad label) and with the sid for label inconsistencies.
     """
     events: dict[str, list[Event]] = {}
     labels: dict[str, str] = {}
@@ -56,16 +72,13 @@ def load_csv(path) -> SequenceDataset:
             if len(row) != 4:
                 raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             sid, etype, raw_ts, label = row
-            try:
-                timestamp = float(raw_ts)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad timestamp {raw_ts!r}") from None
+            event = _parse_event(path, lineno, sid, etype, raw_ts)
             if label not in (POSITIVE, NEGATIVE):
                 raise InputError(f"{path}:{lineno}: bad label {label!r}")
             if sid in labels and labels[sid] != label:
                 raise InputError(f"{path}: sequence {sid!r} carries inconsistent labels")
             labels[sid] = label
-            events.setdefault(sid, []).append(Event(etype, timestamp))
+            events.setdefault(sid, []).append(event)
     sequences = [
         Sequence(sid=sid, events=tuple(evs), label=labels[sid])
         for sid, evs in events.items()
@@ -84,7 +97,10 @@ def save_dataset_csv(dataset: SequenceDataset, path) -> None:
 
 
 def load_timeline_csv(path) -> dict[str, list[Event]]:
-    """Read an unlabeled per-patient event CSV (header sid,event,timestamp)."""
+    """Read an unlabeled per-patient event CSV (header sid,event,timestamp).
+
+    Rows are checked as in ``load_csv``, with the line number in the error.
+    """
     timelines: dict[str, list[Event]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -99,11 +115,7 @@ def load_timeline_csv(path) -> dict[str, list[Event]]:
             if len(row) != 3:
                 raise InputError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
             sid, etype, raw_ts = row
-            try:
-                timestamp = float(raw_ts)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad timestamp {raw_ts!r}") from None
-            timelines.setdefault(sid, []).append(Event(etype, timestamp))
+            timelines.setdefault(sid, []).append(_parse_event(path, lineno, sid, etype, raw_ts))
     return timelines
 
 

@@ -9,16 +9,25 @@ items denote the same sub-sequence; the matcher emits one canonical
 representative per sub-sequence: within each run of equal-typed items the
 mapped events are taken in (timestamp, position) order.  Constraints are
 evaluated on that canonical assignment.
+
+A mining run does not call the matcher per chronicle: it indexes the
+dataset once (``TypeIndex``), enumerates each multiset's unconstrained
+occurrences over the sequences that hold it, and scores constrained
+chronicles from those rows (see ``rules``).  ``support`` remains the
+reference count, and the fallback for sequences whose enumeration hit the
+occurrence cap.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import Sequence as SequenceType
 
-from .model import Chronicle, Sequence
+from .model import Chronicle, Event, Sequence, SequenceDataset
 
 #: Enumeration stops (with a warning) after this many occurrences in one
 #: sequence; occurrence counts are worst-case exponential in pattern size.
@@ -38,13 +47,77 @@ class Occurrence:
     timestamps: tuple[float, ...]
 
 
-def _search(chronicle: Chronicle, sequence: Sequence) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
+def _bucketize(events: tuple[Event, ...]) -> dict[str, list[int]]:
+    """Event positions per type, each list in sequence order."""
+    buckets: dict[str, list[int]] = {}
+    for pos, ev in enumerate(events):
+        buckets.setdefault(ev.event_type, []).append(pos)
+    return buckets
+
+
+class TypeIndex:
+    """Event types of a dataset, indexed once for a whole mining run.
+
+    ``sequences`` holds the positives, then the negatives, in dataset order;
+    a sequence is named by its position ``k`` in that tuple, so positions
+    below ``n_pos`` are positive.  ``positions[t][k]`` lists, in sequence
+    order, the positions of the type-``t`` events of sequence ``k``; only
+    the sequences that hold ``t`` have an entry.
+    """
+
+    def __init__(self, dataset: SequenceDataset):
+        self.sequences = dataset.sequences
+        self.n_pos = len(dataset.positives)
+        self.positions: dict[str, dict[int, tuple[int, ...]]] = {}
+        for k, seq in enumerate(self.sequences):
+            for etype, found in _bucketize(seq.events).items():
+                self.positions.setdefault(etype, {})[k] = tuple(found)
+        # sequences holding at least n > 1 events of a type, keyed by (type, n)
+        self._at_least: dict[tuple[str, int], set[int]] = {}
+
+    def _holders(self, etype: str, n: int) -> AbstractSet[int]:
+        """Sequences holding at least ``n`` events of ``etype``."""
+        per_seq = self.positions.get(etype, {})
+        if n == 1:
+            return per_seq.keys()
+        if (etype, n) not in self._at_least:
+            self._at_least[etype, n] = {k for k, p in per_seq.items() if len(p) >= n}
+        return self._at_least[etype, n]
+
+    def containing(self, multiset: Iterable[str]) -> list[int]:
+        """Positions, ascending, of the sequences that hold the multiset."""
+        need = Counter(multiset)
+        if not need:
+            return list(range(len(self.sequences)))
+        held = None
+        for etype, n in need.items():
+            holders = self._holders(etype, n)
+            held = holders if held is None else held & holders
+        return sorted(held)
+
+    def buckets(self, k: int, types: Iterable[str]) -> dict[str, tuple[int, ...]]:
+        """Event positions per type in sequence ``k``, for types it holds."""
+        return {t: self.positions[t][k] for t in types}
+
+    def supports(self, multiset: Iterable[str]) -> tuple[int, int]:
+        """(positive, negative) support of the constraint-free chronicle."""
+        held = self.containing(multiset)
+        supp_pos = bisect_left(held, self.n_pos)
+        return supp_pos, len(held) - supp_pos
+
+
+def _search(
+    chronicle: Chronicle,
+    sequence: Sequence,
+    buckets: Mapping[str, SequenceType[int]] | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
     """Yield canonical (mapping, timestamps) pairs by backtracking.
 
-    Items are assigned in multiset order; candidate events are pre-bucketed
-    by type, and a partial assignment is abandoned as soon as any constraint
-    among already-mapped items fails.  Buckets of different types are
-    disjoint, so injectivity only needs enforcing within a type, which the
+    Items are assigned in multiset order; candidate events come from the
+    sequence's per-type buckets (built here unless the caller passes them),
+    and a partial assignment is abandoned as soon as any constraint among
+    already-mapped items fails.  Buckets of different types are disjoint, so
+    injectivity only needs enforcing within a type, which the
     strictly-increasing bucket index for equal-typed runs already does.
     """
     items = chronicle.items
@@ -54,9 +127,8 @@ def _search(chronicle: Chronicle, sequence: Sequence) -> Iterator[tuple[tuple[in
         return
 
     events = sequence.events
-    buckets: dict[str, list[int]] = {}
-    for pos, ev in enumerate(events):
-        buckets.setdefault(ev.event_type, []).append(pos)
+    if buckets is None:
+        buckets = _bucketize(events)
 
     for etype, count in Counter(items).items():
         if len(buckets.get(etype, ())) < count:

@@ -6,20 +6,27 @@ the rest learns discriminant temporal constraints from their duration
 tables.  Every candidate is re-scored at sequence level before emission, so
 the output contract is simple: every returned chronicle is discriminant at
 the configured thresholds.
+
+Each run indexes the dataset's event types once (``TypeIndex``).  The
+index gives the constraint-free supports and the sequences each duration
+table enumerates, and each learned chronicle is re-scored from its
+multiset's table, with the matcher only as the fallback for sequences the
+occurrence cap truncated.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
 import zlib
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .itemsets import decode_to_multisets, encode, mine_frequent_itemsets
-from .model import Chronicle, MinedChronicle, SequenceDataset, growth_rate
+from .matcher import TypeIndex
+from .model import Chronicle, MinedChronicle, SequenceDataset
 from .rules import build_duration_table, induce_rules, reevaluate, translate
 
 #: Workers for the per-multiset loop; unset or 1 means run sequentially.
@@ -64,26 +71,6 @@ class DcmConfig:
         return max(1, math.ceil(self.sigma_min))
 
 
-def _type_counters(dataset: SequenceDataset) -> tuple[list[Counter], list[Counter]]:
-    pos = [Counter(ev.event_type for ev in s.events) for s in dataset.positives]
-    neg = [Counter(ev.event_type for ev in s.events) for s in dataset.negatives]
-    return pos, neg
-
-
-def _unconstrained_supports(
-    multiset: tuple[str, ...], pos_counters: list[Counter], neg_counters: list[Counter]
-) -> tuple[int, int]:
-    """Supports of the constraint-free chronicle: plain multiset containment."""
-    need = Counter(multiset)
-    supp_pos = sum(
-        1 for c in pos_counters if all(c.get(t, 0) >= k for t, k in need.items())
-    )
-    supp_neg = sum(
-        1 for c in neg_counters if all(c.get(t, 0) >= k for t, k in need.items())
-    )
-    return supp_pos, supp_neg
-
-
 def _passes_growth(supp_pos: int, supp_neg: int, g_min: float, strict: bool) -> bool:
     if strict:
         return supp_pos > g_min * supp_neg
@@ -94,8 +81,7 @@ def check_multiset_discriminancy(
     multiset: tuple[str, ...], dataset: SequenceDataset, config: DcmConfig
 ) -> bool:
     """Whether the bare multiset already passes the growth comparison."""
-    pos_counters, neg_counters = _type_counters(dataset)
-    supp_pos, supp_neg = _unconstrained_supports(multiset, pos_counters, neg_counters)
+    supp_pos, supp_neg = TypeIndex(dataset).supports(multiset)
     return _passes_growth(supp_pos, supp_neg, config.g_min, config.strict_growth)
 
 
@@ -107,6 +93,7 @@ def _multiset_seed(base_seed: int, multiset: tuple[str, ...]) -> int:
 def _mine_one(
     multiset: tuple[str, ...],
     dataset: SequenceDataset,
+    index: TypeIndex,
     config: DcmConfig,
     sigma: int,
     supp_pos: int,
@@ -121,13 +108,17 @@ def _mine_one(
                 supp_neg=supp_neg,
             )
         ]
-    table = build_duration_table(multiset, dataset, cap=config.occurrence_cap)
+    if len(multiset) < 2:
+        return []  # a singleton has no pair duration to constrain
+    table = build_duration_table(
+        multiset, dataset, cap=config.occurrence_cap, index=index
+    )
     rules = induce_rules(
         table, config.g_min, sigma, seed=_multiset_seed(config.seed, multiset)
     )
     out = []
     for rule in rules:
-        mined = reevaluate(translate(rule, multiset), dataset)
+        mined = reevaluate(translate(rule, multiset), dataset, table)
         if mined.supp_pos >= sigma and mined.growth_rate >= config.g_min:
             out.append(mined)
     return out
@@ -136,23 +127,33 @@ def _mine_one(
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(dataset, config, sigma):
+def _init_worker(dataset, index, config, sigma):
     global _WORKER_STATE
-    _WORKER_STATE = (dataset, config, sigma)
+    _WORKER_STATE = (dataset, index, config, sigma)
 
 
 def _run_worker(task):
     multiset, supp_pos, supp_neg = task
-    dataset, config, sigma = _WORKER_STATE
-    return _mine_one(multiset, dataset, config, sigma, supp_pos, supp_neg)
+    dataset, index, config, sigma = _WORKER_STATE
+    return _mine_one(multiset, dataset, index, config, sigma, supp_pos, supp_neg)
 
 
 def _worker_count() -> int:
     raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        warnings.warn(
+            f"{THREADS_ENV_VAR}={raw!r} is not a positive integer; running sequentially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return 1
+    return workers
 
 
 def _output_order(mined: MinedChronicle):
@@ -202,23 +203,20 @@ def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[Mined
     ]
     multisets.sort()
 
-    pos_counters, neg_counters = _type_counters(dataset)
-    tasks = []
-    for ms in multisets:
-        supp_pos, supp_neg = _unconstrained_supports(ms, pos_counters, neg_counters)
-        tasks.append((ms, supp_pos, supp_neg))
+    index = TypeIndex(dataset)
+    tasks = [(ms, *index.supports(ms)) for ms in multisets]
 
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
             initializer=_init_worker,
-            initargs=(dataset, config, sigma),
+            initargs=(dataset, index, config, sigma),
         ) as pool:
             chunks = list(pool.map(_run_worker, tasks, chunksize=8))
     else:
         chunks = [
-            _mine_one(ms, dataset, config, sigma, sp, sn) for ms, sp, sn in tasks
+            _mine_one(ms, dataset, index, config, sigma, sp, sn) for ms, sp, sn in tasks
         ]
 
     unique: dict[Chronicle, MinedChronicle] = {}

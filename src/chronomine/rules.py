@@ -2,11 +2,19 @@
 
 For a frequent multiset, every canonical occurrence in the dataset becomes
 one row of a relational duration table: one signed-duration attribute per
-ordered item pair, labeled with the sequence label.  A sequential-covering
-learner (grow by FOIL information gain, prune by reduced error) induces
-interval rules for the positive class; each rule translates directly into a
-set of temporal constraints, which is then re-scored at sequence level
-because several rows may come from one sequence.
+ordered item pair, labeled with the sequence label.  The rows come from one
+enumeration over only the sequences that hold the multiset.  A
+sequential-covering learner (grow by FOIL information gain, prune by
+reduced error) induces interval rules for the positive class; each rule
+translates directly into a set of temporal constraints.
+
+Several rows may come from one sequence, so a translated chronicle is
+re-scored at sequence level.  Given the multiset's table, ``reevaluate``
+counts the distinct positive and negative sequences among the rows the
+constraints cover: the rows and the matcher's candidates are the same
+canonical assignments, so this count is exact.  The matcher runs only on
+sequences whose enumeration hit the occurrence cap and that have no
+covered row.
 """
 
 from __future__ import annotations
@@ -16,12 +24,14 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
-from .matcher import DEFAULT_OCCURRENCE_CAP, OccurrenceCapWarning, _enumerate_capped, support
+from .matcher import DEFAULT_OCCURRENCE_CAP, OccurrenceCapWarning, TypeIndex, _search, support
 from .model import (
+    POSITIVE,
     Chronicle,
     MinedChronicle,
     SequenceDataset,
@@ -68,15 +78,18 @@ class DurationTable:
     One row per canonical occurrence over all sequences; ``durations`` is a
     (rows x pairs) float array where column p holds timestamp(j) -
     timestamp(i) for pair (i, j).  ``labels`` is True for rows from positive
-    sequences.  ``truncated`` records whether any sequence hit the
-    occurrence cap during construction.
+    sequences.  ``seq_index`` gives each row's sequence as its position in
+    ``dataset.sequences`` (numbered by first appearance when not given), and
+    ``capped`` lists the positions of the sequences whose enumeration hit
+    the occurrence cap, so their rows are incomplete.
     """
 
     multiset: tuple[str, ...]
     sids: tuple[str, ...]
     durations: np.ndarray
     labels: np.ndarray
-    truncated: bool = False
+    seq_index: np.ndarray | None = None
+    capped: tuple[int, ...] = ()
     pairs: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
@@ -85,9 +98,22 @@ class DurationTable:
             len(self.sids), len(self.pairs)
         )
         self.labels = np.asarray(self.labels, dtype=bool).reshape(len(self.sids))
+        if self.seq_index is None:
+            first: dict[str, int] = {}
+            self.seq_index = np.fromiter(
+                (first.setdefault(sid, len(first)) for sid in self.sids),
+                dtype=np.int64,
+                count=len(self.sids),
+            )
+        self.seq_index = np.asarray(self.seq_index).reshape(len(self.sids))
 
     def __len__(self) -> int:
         return len(self.sids)
+
+    @property
+    def truncated(self) -> bool:
+        """Whether any sequence hit the occurrence cap during construction."""
+        return bool(self.capped)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -108,43 +134,67 @@ def build_duration_table(
     multiset: Iterable[str],
     dataset: SequenceDataset,
     cap: int | None = DEFAULT_OCCURRENCE_CAP,
+    index: TypeIndex | None = None,
 ) -> DurationTable:
-    """Duration table over all canonical occurrences in the whole dataset."""
+    """Duration table over all canonical occurrences in the whole dataset.
+
+    Only the sequences that hold the multiset are enumerated; ``index`` is
+    the dataset's ``TypeIndex``, built here when not given.
+    """
     multiset = tuple(multiset)
     if len(multiset) < 2:
         raise ValueError("duration attributes need a multiset of at least 2 items")
+    if index is None:
+        index = TypeIndex(dataset)
     chronicle = Chronicle.unconstrained(multiset)
-    pairs = pair_attributes(multiset)
 
+    types = set(multiset)
     sids: list[str] = []
-    rows: list[list[float]] = []
-    labels: list[bool] = []
-    truncated = False
-    for seq, positive in [(s, True) for s in dataset.positives] + [
-        (s, False) for s in dataset.negatives
-    ]:
-        occurrences, hit_cap = _enumerate_capped(chronicle, seq, cap)
-        if hit_cap:
-            truncated = True
+    times: list[tuple[float, ...]] = []
+    held: list[int] = []
+    rows_per_seq: list[int] = []
+    capped: list[int] = []
+    for k in index.containing(multiset):
+        seq = index.sequences[k]
+        occurrences = _search(chronicle, seq, index.buckets(k, types))
+        found = [t for _, t in islice(occurrences, None if cap is None else cap + 1)]
+        if cap is not None and len(found) > cap:
+            del found[cap:]
+            capped.append(k)
             warnings.warn(
                 f"occurrence cap {cap} reached in sequence {seq.sid!r}; "
                 "duration table truncated",
                 OccurrenceCapWarning,
                 stacklevel=2,
             )
-        for occ in occurrences:
-            t = occ.timestamps
-            sids.append(seq.sid)
-            rows.append([t[j] - t[i] for i, j in pairs])
-            labels.append(positive)
-    durations = np.asarray(rows, dtype=float) if rows else np.empty((0, len(pairs)))
+        times.extend(found)
+        sids.extend([seq.sid] * len(found))
+        held.append(k)
+        rows_per_seq.append(len(found))
+    stamps = np.asarray(times, dtype=float).reshape(len(times), len(multiset))
+    first, second = np.asarray(pair_attributes(multiset)).T
+    seq_index = np.repeat(np.asarray(held, dtype=np.int32), rows_per_seq)
     return DurationTable(
         multiset=multiset,
         sids=tuple(sids),
-        durations=durations,
-        labels=np.asarray(labels, dtype=bool),
-        truncated=truncated,
+        durations=stamps[:, second] - stamps[:, first],
+        labels=seq_index < index.n_pos,
+        seq_index=seq_index,
+        capped=tuple(capped),
     )
+
+
+def _covers(
+    conditions: Iterable[tuple[int, int, float, float]], table: DurationTable
+) -> np.ndarray:
+    """Boolean row mask of the table rows with lo <= t[j] - t[i] <= hi for
+    every (i, j, lo, hi) condition, the same comparison the matcher makes."""
+    mask = np.ones(len(table), dtype=bool)
+    index = {pair: col for col, pair in enumerate(table.pairs)}
+    for i, j, lo, hi in conditions:
+        col = table.durations[:, index[(i, j)]]
+        mask &= (col >= lo) & (col <= hi)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -167,12 +217,7 @@ class NumericalRule:
 
     def covers_mask(self, table: DurationTable) -> np.ndarray:
         """Boolean row mask of the table rows satisfying every condition."""
-        mask = np.ones(len(table), dtype=bool)
-        index = {pair: col for col, pair in enumerate(table.pairs)}
-        for i, j, lo, hi in self.conditions:
-            col = table.durations[:, index[(i, j)]]
-            mask &= (col >= lo) & (col <= hi)
-        return mask
+        return _covers(self.conditions, table)
 
 
 def row_growth(rule: NumericalRule, table: DurationTable) -> float:
@@ -434,8 +479,46 @@ def translate(rule: NumericalRule, multiset: Iterable[str]) -> Chronicle:
     return Chronicle(items=multiset, constraints=constraints)
 
 
-def reevaluate(chronicle: Chronicle, dataset: SequenceDataset) -> MinedChronicle:
-    """Sequence-level supports and growth rate, recomputed by the matcher."""
-    supp_pos = support(chronicle, dataset.positives)
-    supp_neg = support(chronicle, dataset.negatives)
+def _distinct(ids: np.ndarray) -> int:
+    """Number of distinct values in an integer array."""
+    # np.sort, not np.unique: unique imports numpy.ma on first use
+    ids = np.sort(ids)
+    return int(ids.size and 1 + np.count_nonzero(ids[1:] != ids[:-1]))
+
+
+def reevaluate(
+    chronicle: Chronicle, dataset: SequenceDataset, table: DurationTable | None = None
+) -> MinedChronicle:
+    """Sequence-level supports and growth rate of the chronicle.
+
+    Without a table the matcher recounts them over every sequence.  With
+    the duration table of the chronicle's multiset, built from this
+    dataset, a sequence supports the chronicle iff one of its rows is
+    covered by the constraints; the matcher decides only the capped
+    sequences that have no covered row.
+    """
+    if table is None:
+        supp_pos = support(chronicle, dataset.positives)
+        supp_neg = support(chronicle, dataset.negatives)
+        return MinedChronicle(chronicle=chronicle, supp_pos=supp_pos, supp_neg=supp_neg)
+    if chronicle.items != table.multiset:
+        raise ValueError(
+            f"table of {table.multiset} cannot score a chronicle over {chronicle.items}"
+        )
+    mask = _covers(
+        ((tc.from_index, tc.to_index, tc.lower, tc.upper) for tc in chronicle.constraints),
+        table,
+    )
+    supp_pos = _distinct(table.seq_index[mask & table.labels])
+    supp_neg = _distinct(table.seq_index[mask & ~table.labels])
+    if table.capped:
+        covered = set(table.seq_index[mask].tolist())
+        sequences = dataset.sequences
+        unresolved = [sequences[k] for k in table.capped if k not in covered]
+        pos = [s for s in unresolved if s.label == POSITIVE]
+        neg = [s for s in unresolved if s.label != POSITIVE]
+        if pos:
+            supp_pos += support(chronicle, pos)
+        if neg:
+            supp_neg += support(chronicle, neg)
     return MinedChronicle(chronicle=chronicle, supp_pos=supp_pos, supp_neg=supp_neg)

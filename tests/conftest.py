@@ -6,9 +6,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chronomine import Chronicle, Event, Sequence, SequenceDataset
 from chronomine.rules import DurationTable
+
+#: Property tests that mine take this profile: no deadline, because their
+#: run time follows the host's load, and few examples, to keep the suite short.
+settings.register_profile("bounded", deadline=None, max_examples=30)
+BOUNDED = settings.get_profile("bounded")
 
 REFERENCE_ROWS = [
     ("1", [("A", 1), ("B", 3), ("A", 4), ("C", 5), ("C", 6), ("D", 7)], "+"),
@@ -125,9 +131,12 @@ def random_sequence(rng, sid="s", max_events=8, alphabet=("a", "b", "c"), label=
     return Sequence(sid=sid, events=events, label=label)
 
 
-def random_chronicle(rng, max_items=3, alphabet=("a", "b", "c")):
-    m = rng.randint(0, max_items)
-    items = tuple(sorted(rng.choice(alphabet) for _ in range(m)))
+def random_chronicle(rng, max_items=3, alphabet=("a", "b", "c"), items=None):
+    """Random chronicle; with ``items`` given, random constraints on them."""
+    if items is None:
+        m = rng.randint(0, max_items)
+        items = tuple(sorted(rng.choice(alphabet) for _ in range(m)))
+    m = len(items)
     constraints = []
     for i in range(m):
         for j in range(i + 1, m):

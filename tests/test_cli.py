@@ -70,6 +70,14 @@ class TestMine:
         text = capsys.readouterr().out
         assert text == "" or text.startswith("digraph")
 
+    def test_min_size_one_succeeds(self, dataset_csv, capsys):
+        code = main(
+            ["mine", "--input", str(dataset_csv), "--min-support", "1", "--min-size", "1"]
+        )
+        assert code == 0
+        items = [tuple(r["items"]) for r in json.loads(capsys.readouterr().out)]
+        assert ("D",) in items
+
     def test_missing_input_is_exit_1(self, tmp_path):
         assert main(["mine", "--input", str(tmp_path / "nope.csv")]) == 1
 

@@ -12,6 +12,7 @@ from chronomine import (
     crossover_split,
     load_chronicles_json,
     load_csv,
+    load_timeline_csv,
     render,
     save_dataset_csv,
 )
@@ -19,6 +20,16 @@ from chronomine.errors import ConfigError, InputError
 from chronomine.io import render_csv, render_dot, render_json
 
 from conftest import REFERENCE_ROWS
+
+
+#: (sid, event, timestamp) of a row each loader must reject, by test id.
+BAD_FIELDS = {
+    "nan-timestamp": ("s", "A", "nan"),
+    "inf-timestamp": ("s", "A", "inf"),
+    "minus-inf-timestamp": ("s", "A", "-inf"),
+    "empty-sid": ("", "A", "1"),
+    "empty-event-type": ("s", "", "1"),
+}
 
 
 def write_reference_csv(path):
@@ -73,6 +84,28 @@ class TestLoadCsv:
         path.write_text("id,event,time,label\n")
         with pytest.raises(InputError, match="header"):
             load_csv(path)
+
+    @pytest.mark.parametrize("fields", BAD_FIELDS.values(), ids=BAD_FIELDS)
+    def test_bad_row_reports_path_and_line(self, tmp_path, fields):
+        path = tmp_path / "bad.csv"
+        path.write_text("sid,event,timestamp,label\ns,A,1,+\n" + ",".join(fields) + ",+\n")
+        with pytest.raises(InputError, match=r"bad\.csv:3: "):
+            load_csv(path)
+
+
+class TestLoadTimelineCsv:
+    def test_rows_grouped_by_sid(self, tmp_path):
+        path = tmp_path / "timeline.csv"
+        path.write_text("sid,event,timestamp\na,X,5\nb,D,1\na,D,2\n")
+        timelines = load_timeline_csv(path)
+        assert timelines == {"a": [Event("X", 5), Event("D", 2)], "b": [Event("D", 1)]}
+
+    @pytest.mark.parametrize("fields", BAD_FIELDS.values(), ids=BAD_FIELDS)
+    def test_bad_row_reports_path_and_line(self, tmp_path, fields):
+        path = tmp_path / "bad.csv"
+        path.write_text("sid,event,timestamp\ns,A,1\n" + ",".join(fields) + "\n")
+        with pytest.raises(InputError, match=r"bad\.csv:3: "):
+            load_timeline_csv(path)
 
 
 class TestRender:

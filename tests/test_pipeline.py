@@ -188,6 +188,25 @@ class TestDcm:
         parallel = dcm(ds, cfg)
         assert parallel == sequential
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_count_warns_and_runs_sequentially(self, monkeypatch, value):
+        ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
+        cfg = DcmConfig(sigma_min=0.1, g_min=2.0)
+        sequential = dcm(ds, cfg)
+        monkeypatch.setenv("CHRONOMINE_THREADS", value)
+        with pytest.warns(RuntimeWarning, match=f"CHRONOMINE_THREADS='{value}'"):
+            assert dcm(ds, cfg) == sequential
+
+    def test_min_size_one_learns_nothing_for_singletons(self, reference_dataset):
+        cfg = DcmConfig(sigma_min=1, g_min=2.0, min_size=1)
+        results = dcm(reference_dataset, cfg)
+        assert {m.chronicle.items for m in results} >= {("C", "C"), ("D",)}
+        for mined in results:
+            if len(mined.chronicle.items) == 1:
+                assert not mined.chronicle.constraints
+            assert reevaluate(mined.chronicle, reference_dataset) == mined
+            assert is_discriminant(mined, 1, cfg.g_min)
+
     def test_reference_chronicle_scores(self, five_item_chronicle, reference_dataset):
         mined = reevaluate(five_item_chronicle, reference_dataset)
         assert (mined.supp_pos, mined.supp_neg, mined.growth_rate) == (2, 1, 2.0)

@@ -1,0 +1,146 @@
+"""Differential tests of the fast path: the type index against brute-force
+multiset containment, duration tables against the matcher's occurrences,
+and rule scoring from a table against rescoring with the matcher, including
+tables the occurrence cap truncated."""
+
+import random
+import warnings
+from collections import Counter
+from itertools import combinations_with_replacement
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chronomine.rules as rules
+from chronomine import (
+    Chronicle,
+    DcmConfig,
+    OccurrenceCapWarning,
+    SequenceDataset,
+    build_duration_table,
+    dcm,
+    enumerate_occurrences,
+    generate_synthetic,
+    induce_rules,
+    reevaluate,
+    translate,
+)
+from chronomine.matcher import TypeIndex
+
+from conftest import BOUNDED, random_chronicle, random_sequence
+from test_pipeline import planted_spec
+
+ALPHABET = ("a", "b", "c")
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_dataset(rng, n=6, alphabet=ALPHABET):
+    return SequenceDataset.from_sequences(
+        [random_sequence(rng, f"p{i}", alphabet=alphabet, label="+") for i in range(n)]
+        + [random_sequence(rng, f"n{i}", alphabet=alphabet, label="-") for i in range(n)],
+        alphabet=alphabet,
+    )
+
+
+def multisets(alphabet, sizes):
+    return [ms for m in sizes for ms in combinations_with_replacement(alphabet, m)]
+
+
+def holds(sequence, multiset):
+    have = Counter(ev.event_type for ev in sequence.events)
+    return all(have[t] >= n for t, n in Counter(multiset).items())
+
+
+@settings(BOUNDED)
+@given(seed=SEEDS)
+def test_index_supports_equal_brute_force_containment(seed):
+    ds = random_dataset(random.Random(seed))
+    index = TypeIndex(ds)
+    for ms in multisets(ALPHABET + ("z",), range(5)):
+        expected = (
+            sum(holds(s, ms) for s in ds.positives),
+            sum(holds(s, ms) for s in ds.negatives),
+        )
+        assert index.supports(ms) == expected
+        held = [k for k, s in enumerate(ds.sequences) if holds(s, ms)]
+        assert index.containing(ms) == held
+
+
+@settings(BOUNDED)
+@given(seed=SEEDS)
+def test_table_rows_equal_the_matchers_occurrences(seed):
+    ds = random_dataset(random.Random(seed))
+    index = TypeIndex(ds)
+    for ms in multisets(ALPHABET, (2, 3)):
+        table = build_duration_table(ms, ds, cap=None, index=index)
+        chronicle = Chronicle.unconstrained(ms)
+        sids, rows = [], []
+        for seq in ds.sequences:
+            for occ in enumerate_occurrences(chronicle, seq, cap=None):
+                t = occ.timestamps
+                sids.append(seq.sid)
+                rows.append([t[j] - t[i] for i, j in table.pairs])
+        assert table.sids == tuple(sids)
+        assert np.array_equal(table.durations, np.asarray(rows).reshape(table.durations.shape))
+        assert list(table.labels) == [sid.startswith("p") for sid in sids]
+
+
+@settings(BOUNDED)
+@given(seed=SEEDS, cap=st.sampled_from([None, 2, 3, 5]))
+def test_table_scores_equal_matcher_scores(seed, cap):
+    rng = random.Random(seed)
+    ds = random_dataset(rng)
+    index = TypeIndex(ds)
+    for ms in multisets(ALPHABET, (2, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OccurrenceCapWarning)
+            table = build_duration_table(ms, ds, cap=cap, index=index)
+        chronicles = [translate(r, ms) for r in induce_rules(table, g_min=1.5, seed=seed)]
+        chronicles += [random_chronicle(rng, items=ms) for _ in range(3)]
+        for chronicle in chronicles:
+            assert reevaluate(chronicle, ds, table) == reevaluate(chronicle, ds)
+
+
+def test_table_of_another_multiset_is_rejected(reference_dataset):
+    table = build_duration_table(("A", "B"), reference_dataset)
+    with pytest.raises(ValueError):
+        reevaluate(Chronicle.unconstrained(("A", "C")), reference_dataset, table)
+
+
+def test_untruncated_mining_never_calls_the_matcher(monkeypatch):
+    ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
+    config = DcmConfig(sigma_min=0.1, g_min=2.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matcher rescored a chronicle")
+
+    monkeypatch.setattr(rules, "support", refuse)
+    results = dcm(ds, config)
+    monkeypatch.undo()
+    assert any(m.chronicle.constraints for m in results)
+    for mined in results:
+        assert reevaluate(mined.chronicle, ds) == mined
+
+
+def test_capped_mining_falls_back_to_the_matcher_and_stays_exact(monkeypatch):
+    ds = random_dataset(random.Random(7), n=12)
+    config = DcmConfig(sigma_min=2, g_min=1.5, occurrence_cap=2)
+    calls = []
+    support = rules.support
+
+    def counting(chronicle, sequences):
+        calls.append(len(sequences))
+        return support(chronicle, sequences)
+
+    monkeypatch.setattr(rules, "support", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OccurrenceCapWarning)
+        results = dcm(ds, config)
+    monkeypatch.undo()
+    assert calls
+    assert any(m.chronicle.constraints for m in results)
+    for mined in results:
+        assert reevaluate(mined.chronicle, ds) == mined
+
