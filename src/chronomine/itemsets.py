@@ -72,24 +72,32 @@ def mine_frequent_itemsets(
         (item for item, tids in tidsets.items() if len(tids) >= sigma_min)
     )
     out: dict[frozenset[IndexedItem], int] = {}
-
-    def grow(prefix: tuple[IndexedItem, ...], prefix_tids: set[int], candidates: list[IndexedItem]):
-        for idx, item in enumerate(candidates):
-            tids = prefix_tids & tidsets[item]
-            if len(tids) < sigma_min:
-                continue
-            itemset = prefix + (item,)
-            out[frozenset(itemset)] = len(tids)
-            if max_items is None or len(itemset) < max_items:
-                grow(itemset, tids, candidates[idx + 1 :])
-
     if max_items is None or max_items >= 1:
-        for idx, item in enumerate(frequent):
-            tids = tidsets[item]
-            out[frozenset((item,))] = len(tids)
-            if max_items is None or max_items > 1:
-                grow((item,), tids, frequent[idx + 1 :])
+        _grow((), set(range(len(transactions))), frequent, tidsets, sigma_min, max_items, out)
     return out
+
+
+def _grow(
+    prefix: tuple[IndexedItem, ...],
+    prefix_tids: set[int],
+    candidates: list[IndexedItem],
+    tidsets: dict[IndexedItem, set[int]],
+    sigma_min: int,
+    max_items: int | None,
+    out: dict[frozenset[IndexedItem], int],
+) -> None:
+    """Record every frequent extension of ``prefix`` by ``candidates`` in
+    ``out``, depth first.  A module-level function, not a closure: a
+    closure that calls itself is a reference cycle, which would keep the
+    tidsets alive until the cyclic garbage collector runs."""
+    for idx, item in enumerate(candidates):
+        tids = prefix_tids & tidsets[item]
+        if len(tids) < sigma_min:
+            continue
+        itemset = prefix + (item,)
+        out[frozenset(itemset)] = len(tids)
+        if max_items is None or len(itemset) < max_items:
+            _grow(itemset, tids, candidates[idx + 1 :], tidsets, sigma_min, max_items, out)
 
 
 def decode_to_multisets(itemsets: Iterable[frozenset[IndexedItem]]) -> set[tuple[str, ...]]:

@@ -113,9 +113,7 @@ def _mine_one(
     table = build_duration_table(
         multiset, dataset, cap=config.occurrence_cap, index=index
     )
-    rules = induce_rules(
-        table, config.g_min, sigma, seed=_multiset_seed(config.seed, multiset)
-    )
+    rules = induce_rules(table, config.g_min, seed=_multiset_seed(config.seed, multiset))
     out = []
     for rule in rules:
         mined = reevaluate(translate(rule, multiset), dataset, table)

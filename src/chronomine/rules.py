@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
@@ -231,76 +230,126 @@ def row_growth(rule: NumericalRule, table: DurationTable) -> float:
 # ---------------------------------------------------------------------------
 # growing
 
-# A candidate condition: (gain, covered positives, attribute name, threshold,
-# direction) -- the tuple doubles as the selection key.
+# Directions of a threshold condition: "attr <= v" and "attr >= v".
 _LE, _GE = 0, 1
+
+#: Array gains within this share of (|best gain| + p0) of the best one are
+#: rescored with math.log2.  np.log2 may differ from math.log2 in the last
+#: bits of log2(p1 / (p1 + n1)), whose magnitude is below 64, so a gain moves
+#: by less than p1 * 1e-13.  Scaling by p0 >= p1 keeps the true winner in the
+#: shortlist also when the gain's two terms cancel.
+_SHORTLIST = 1e-9
+
+
+def _presort(durations: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Row order of each duration column: a (columns x rows) index array,
+    ascending by value and, among equal values, negative rows first."""
+    by_label = np.argsort(labels, kind="stable")
+    order = np.argsort(durations[by_label], axis=0, kind="stable")
+    return by_label[order.T]
 
 
 def _best_condition(
     durations: np.ndarray,
     labels: np.ndarray,
+    order: np.ndarray,
     covered: np.ndarray,
     names: tuple[str, ...],
 ) -> tuple[float, int, int, int, float] | None:
-    """Single threshold condition maximizing FOIL information gain.
+    """Single threshold condition maximizing FOIL information gain over the
+    covered rows.
 
-    Thresholds are observed attribute values adjacent to a label boundary in
-    the sorted value sequence; "attr <= v" takes the value below the
-    boundary, "attr >= v" the value above.  Returns (gain, p1, column,
-    direction, threshold) for the winner or None when no condition gains.
+    ``order`` is ``_presort(durations, labels)``: filtering it by the
+    ``covered`` row mask gives every column's covered rows in value order,
+    with no sort.  Thresholds are observed values next to a label boundary
+    in that order: a split between two groups of equal values, unless both
+    groups hold only positives or both only negatives.  "attr <= v" takes
+    the value left of the boundary, "attr >= v" the value right of it.
+    Every candidate's gain is computed in one array expression; the ones
+    within ``_SHORTLIST`` of the best are rescored with ``math.log2``, so
+    the gains compared are exact.  Among gains above 1e-12 the winner has
+    the smallest (-gain, -p1, name, threshold, direction).  Returns (gain,
+    p1, column, direction, threshold) for the winner or None when no
+    condition gains.
     """
     p0 = int(np.count_nonzero(labels & covered))
-    n0 = int(np.count_nonzero(~labels & covered))
     if p0 == 0:
         return None
+    m = int(np.count_nonzero(covered))
+    n0 = m - p0
     base = math.log2(p0 / (p0 + n0))
+
+    # every column's covered rows in value order, one column after another
+    rows = order[covered[order]]
+    n_cols = len(order)
+    vals = durations[rows.reshape(n_cols, m), np.arange(n_cols)[:, None]].ravel()
+    labs = labels[rows]
+    del rows  # free the largest temporary before the next ones are made
+    # ends: the last row of each group of equal values; a column's last row
+    # always ends one, so no group spans two columns
+    end = np.empty(len(vals), dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=end[:-1])
+    end[m - 1 :: m] = True
+    ends = end.nonzero()[0]
+    # negatives sort first among equal values, so a group holds only
+    # positives iff its first label is True, only negatives iff its last is
+    # False; split i lies between groups i and i + 1
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    first = labs[starts]
+    last = labs[ends]
+    split = (
+        (starts[1:] % m != 0)
+        & ~(first[:-1] & first[1:])
+        & (last[:-1] | last[1:])
+    )
+    at = ends[:-1][split]  # last row left of each boundary
+    if not len(at):
+        return None
+    p_le = labs.reshape(n_cols, m).cumsum(axis=1).ravel()[at]
+    n_le = at % m + 1 - p_le
+    p1 = np.concatenate((p_le, p0 - p_le))
+    n1 = np.concatenate((n_le, n0 - n_le))
+    # p1 == 0 would be log2(0); its gain is set to 0 and it is skipped below
+    gains = p1 * (np.log2(p1 / (p1 + n1) + (p1 == 0)) - base)
+    top = float(gains.max())
+    close = (gains >= top - _SHORTLIST * (abs(top) + p0)).nonzero()[0]
 
     best: tuple | None = None  # sort key: (-gain, -p1, name, threshold, direction)
     result: tuple[float, int, int, int, float] | None = None
-    for col in range(durations.shape[1]):
-        vals = durations[covered, col]
-        labs = labels[covered]
-        uniq, inverse = np.unique(vals, return_inverse=True)
-        if len(uniq) < 2:
+    for j, p, n in zip(close.tolist(), p1[close].tolist(), n1[close].tolist()):
+        if p == 0:
             continue
-        pos_per = np.bincount(inverse, weights=labs).astype(np.int64)
-        tot_per = np.bincount(inverse)
-        neg_per = tot_per - pos_per
-        # +1 pure positive, -1 pure negative, 0 mixed
-        sign = np.where(neg_per == 0, 1, np.where(pos_per == 0, -1, 0))
-        boundary = ~((sign[:-1] == sign[1:]) & (sign[:-1] != 0))
-        if not boundary.any():
+        gain = p * (math.log2(p / (p + n)) - base)
+        if gain <= 1e-12:
             continue
-        cpos = np.cumsum(pos_per)
-        cneg = np.cumsum(neg_per)
-        idx = np.nonzero(boundary)[0]
-        for t in idx:
-            for direction, threshold, p1, n1 in (
-                (_LE, uniq[t], int(cpos[t]), int(cneg[t])),
-                (_GE, uniq[t + 1], p0 - int(cpos[t]), n0 - int(cneg[t])),
-            ):
-                if p1 == 0:
-                    continue
-                gain = p1 * (math.log2(p1 / (p1 + n1)) - base)
-                if gain <= 1e-12:
-                    continue
-                key = (-gain, -p1, names[col], threshold, direction)
-                if best is None or key < best:
-                    best = key
-                    result = (gain, p1, col, direction, float(threshold))
+        direction = _LE if j < len(at) else _GE
+        k = int(at[j % len(at)])
+        threshold = float(vals[k] if direction == _LE else vals[k + 1])
+        key = (-gain, -p, names[k // m], threshold, direction)
+        if best is None or key < best:
+            best = key
+            result = (gain, p, k // m, direction, threshold)
     return result
 
 
 def _grow(
-    durations: np.ndarray, labels: np.ndarray, names: tuple[str, ...]
+    durations: np.ndarray,
+    labels: np.ndarray,
+    order: np.ndarray,
+    grow: np.ndarray,
+    names: tuple[str, ...],
 ) -> list[tuple[int, int, float]]:
-    """Greedily add threshold conditions until no negatives are covered or
-    no condition improves; returns the ordered (column, direction, threshold)
-    conditions."""
-    covered = np.ones(len(labels), dtype=bool)
+    """Greedily add threshold conditions, learned on the rows of the
+    ``grow`` mask, until no negative grow row is covered or no condition
+    improves; returns the ordered (column, direction, threshold)
+    conditions.  ``order`` is the table's ``_presort``."""
+    covered = grow.copy()
+    negatives = ~labels
     conditions: list[tuple[int, int, float]] = []
-    while np.count_nonzero(~labels & covered) > 0:
-        found = _best_condition(durations, labels, covered, names)
+    while np.count_nonzero(negatives & covered) > 0:
+        found = _best_condition(durations, labels, order, covered, names)
         if found is None:
             break
         _, _, col, direction, threshold = found
@@ -368,46 +417,57 @@ def _merge_conditions(
     )
 
 
+def _sid_ranks(table: DurationTable) -> np.ndarray:
+    """Each row's sequence, numbered in the order of the sequences' sids."""
+    sid_of = dict(zip(table.seq_index.tolist(), table.sids))
+    ranked = sorted(sid_of, key=sid_of.__getitem__)
+    rank = np.zeros(max(ranked) + 1, dtype=np.intp)
+    rank[ranked] = np.arange(len(ranked))
+    return rank[table.seq_index]
+
+
 def _split_rows(
-    sids: tuple[str, ...],
+    ranks: np.ndarray,
     labels: np.ndarray,
     active: np.ndarray,
     rng: random.Random,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Grow/prune split of the active rows, stratified by label with whole
     sequences kept on one side.  Returns None when either class is too small
-    to split meaningfully."""
+    to split meaningfully.
+
+    ``ranks`` is ``_sid_ranks(table)``.  Rows are counted per sequence with
+    one bincount over it; the sequences present come out in sid order, are
+    shuffled, and the chosen ones are marked in a boolean array indexed by
+    rank.
+    """
     grow = active.copy()
     prune = np.zeros_like(active)
-    for label_value in (True, False):
-        rows_idx = np.nonzero(active & (labels == label_value))[0]
-        n_rows = len(rows_idx)
-        counts = Counter(sids[i] for i in rows_idx)
-        class_sids = sorted(counts)
-        if n_rows < MIN_ROWS_FOR_PRUNING or len(class_sids) < 2:
+    for in_class in (labels, ~labels):
+        rows = active & in_class
+        counts = np.bincount(ranks[rows])
+        class_seqs = counts.nonzero()[0].tolist()
+        n_rows = int(np.count_nonzero(rows))
+        if n_rows < MIN_ROWS_FOR_PRUNING or len(class_seqs) < 2:
             return None
-        rng.shuffle(class_sids)
+        rng.shuffle(class_seqs)
         target = n_rows * PRUNE_FRACTION
         taken = 0
-        chosen: set[str] = set()
-        for sid in class_sids[:-1]:  # at least one sid stays in the grow set
+        chosen = np.zeros(len(ranks), dtype=bool)  # a table has no more sequences than rows
+        for k in class_seqs[:-1]:  # at least one sequence stays in the grow set
             if taken >= target:
                 break
-            chosen.add(sid)
-            taken += counts[sid]
-        in_prune = np.fromiter(
-            (sids[i] in chosen for i in rows_idx), dtype=bool, count=n_rows
-        )
-        prune_rows = rows_idx[in_prune]
-        grow[prune_rows] = False
-        prune[prune_rows] = True
+            chosen[k] = True
+            taken += int(counts[k])
+        in_prune = rows & chosen[ranks]
+        grow &= ~in_prune
+        prune |= in_prune
     return grow, prune
 
 
 def induce_rules(
     table: DurationTable,
     g_min: float,
-    sigma_min: int = 1,
     seed: int = 0,
     prune: bool = True,
 ) -> list[NumericalRule]:
@@ -415,12 +475,11 @@ def induce_rules(
 
     Each accepted rule is grown by FOIL gain (optionally reduced-error
     pruned) and must reach row-level growth >= g_min on the full table;
-    covered positive rows are removed between rules.  ``sigma_min`` is not
-    applied here -- the support threshold is enforced at sequence level
-    after reevaluation.  Degenerate tables: all-positive rows yield the
-    single unconstrained rule, all-negative (or empty) tables yield nothing.
+    covered positive rows are removed between rules.  The support threshold
+    is not applied here: it is enforced at sequence level after
+    reevaluation.  Degenerate tables: all-positive rows yield the single
+    unconstrained rule, all-negative (or empty) tables yield nothing.
     """
-    del sigma_min  # enforced downstream, kept for interface symmetry
     labels = table.labels
     n_pos = int(np.count_nonzero(labels))
     n_neg = len(labels) - n_pos
@@ -432,25 +491,25 @@ def induce_rules(
     rng = random.Random(seed)
     durations = table.durations
     names = table.names
+    order = _presort(durations, labels)
+    ranks = _sid_ranks(table) if prune else None
     remaining = labels.copy()  # positive rows not yet covered
     rules: list[NumericalRule] = []
 
     while np.count_nonzero(remaining) > 0:
         active = remaining | ~labels
-        split = _split_rows(table.sids, labels, active, rng) if prune else None
+        split = _split_rows(ranks, labels, active, rng) if prune else None
         if split is None:
             grow_mask = active
             prune_mask = None
         else:
             grow_mask, prune_mask = split
 
-        grow_idx = np.nonzero(grow_mask)[0]
-        conditions = _grow(durations[grow_idx], labels[grow_idx], names)
+        conditions = _grow(durations, labels, order, grow_mask, names)
         if not conditions:
             break
         if prune_mask is not None:
-            prune_idx = np.nonzero(prune_mask)[0]
-            conditions = _prune(conditions, durations[prune_idx], labels[prune_idx])
+            conditions = _prune(conditions, durations[prune_mask], labels[prune_mask])
 
         rule = _merge_conditions(conditions, table.pairs)
         mask = rule.covers_mask(table)

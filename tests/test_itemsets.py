@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -73,6 +74,21 @@ class TestMine:
     def test_bad_sigma_rejected(self, positive_transactions):
         with pytest.raises(ValueError):
             mine_frequent_itemsets(positive_transactions, sigma_min=0)
+
+    def test_leaves_no_garbage_cycles(self):
+        # the tidsets must be freed by reference counting when the call
+        # returns, not whenever the cyclic collector next runs
+        rng = random.Random(4)
+        transactions = encode(
+            random_sequence(rng, sid=str(k), alphabet=tuple("abcdef")) for k in range(40)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            assert mine_frequent_itemsets(transactions, sigma_min=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDecode:
