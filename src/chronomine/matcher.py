@@ -11,21 +11,23 @@ mapped events are taken in (timestamp, position) order.  Constraints are
 evaluated on that canonical assignment.
 
 A mining run does not call the matcher per chronicle: it indexes the
-dataset once (``TypeIndex``), enumerates each multiset's unconstrained
-occurrences over the sequences that hold it, and scores constrained
-chronicles from those rows (see ``rules``).  ``support`` remains the
-reference count, and the fallback for sequences whose enumeration hit the
-occurrence cap.
+dataset once (``TypeIndex``: per event type, its count in each sequence and
+all its timestamps in one array), builds each multiset's unconstrained
+occurrences from those arrays with no search, and scores constrained
+chronicles from those rows (see ``rules``).  The backtracking search here
+serves the public API (``enumerate_occurrences``, ``occurs``,
+``support``); ``support`` is the reference count, and the fallback for
+sequences whose occurrences the cap truncated.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
-from typing import Sequence as SequenceType
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .model import Chronicle, Event, Sequence, SequenceDataset
 
@@ -59,66 +61,68 @@ class TypeIndex:
     """Event types of a dataset, indexed once for a whole mining run.
 
     ``sequences`` holds the positives, then the negatives, in dataset order;
-    a sequence is named by its position ``k`` in that tuple, so positions
-    below ``n_pos`` are positive.  ``positions[t][k]`` lists, in sequence
-    order, the positions of the type-``t`` events of sequence ``k``; only
-    the sequences that hold ``t`` have an entry.
+    a sequence is named by its position ``s`` in that tuple, so positions
+    below ``n_pos`` are positive.  Each event type ``t`` has three arrays:
+
+    * ``count[t][s]``: the number of type-``t`` events in sequence ``s``;
+    * ``start[t][s]``: the offset of sequence ``s``'s events in ``stamps[t]``;
+    * ``stamps[t]``: every type-``t`` timestamp, in (sequence, position)
+      order, so ``stamps[t][start[t][s] + i]`` is the time of the ``i``-th
+      type-``t`` event of sequence ``s``.  Within a sequence that is
+      (timestamp, position) order, the matcher's canonical order.
+
+    ``count`` and ``start`` are int32, one entry per sequence.
     """
 
     def __init__(self, dataset: SequenceDataset):
         self.sequences = dataset.sequences
         self.n_pos = len(dataset.positives)
-        self.positions: dict[str, dict[int, tuple[int, ...]]] = {}
-        for k, seq in enumerate(self.sequences):
-            for etype, found in _bucketize(seq.events).items():
-                self.positions.setdefault(etype, {})[k] = tuple(found)
-        # sequences holding at least n > 1 events of a type, keyed by (type, n)
-        self._at_least: dict[tuple[str, int], set[int]] = {}
+        events: dict[str, tuple[list[int], list[float]]] = {}
+        for s, seq in enumerate(self.sequences):
+            for ev in seq.events:
+                found = events.get(ev.event_type)
+                if found is None:
+                    found = events[ev.event_type] = ([], [])
+                found[0].append(s)
+                found[1].append(ev.timestamp)
+        self.count: dict[str, np.ndarray] = {}
+        self.start: dict[str, np.ndarray] = {}
+        self.stamps: dict[str, np.ndarray] = {}
+        for etype, (owner, times) in events.items():
+            count = np.bincount(owner, minlength=len(self.sequences)).astype(np.int32)
+            self.count[etype] = count
+            self.start[etype] = (np.cumsum(count) - count).astype(np.int32)
+            self.stamps[etype] = np.array(times, dtype=float)
 
-    def _holders(self, etype: str, n: int) -> AbstractSet[int]:
-        """Sequences holding at least ``n`` events of ``etype``."""
-        per_seq = self.positions.get(etype, {})
-        if n == 1:
-            return per_seq.keys()
-        if (etype, n) not in self._at_least:
-            self._at_least[etype, n] = {k for k, p in per_seq.items() if len(p) >= n}
-        return self._at_least[etype, n]
-
-    def containing(self, multiset: Iterable[str]) -> list[int]:
+    def containing(self, multiset: Iterable[str]) -> np.ndarray:
         """Positions, ascending, of the sequences that hold the multiset."""
-        need = Counter(multiset)
-        if not need:
-            return list(range(len(self.sequences)))
-        held = None
-        for etype, n in need.items():
-            holders = self._holders(etype, n)
-            held = holders if held is None else held & holders
-        return sorted(held)
-
-    def buckets(self, k: int, types: Iterable[str]) -> dict[str, tuple[int, ...]]:
-        """Event positions per type in sequence ``k``, for types it holds."""
-        return {t: self.positions[t][k] for t in types}
+        multiset = tuple(multiset)
+        held = np.ones(len(self.sequences), dtype=bool)
+        for etype in dict.fromkeys(multiset):
+            count = self.count.get(etype)
+            if count is None:
+                return np.empty(0, dtype=np.intp)
+            held &= count >= multiset.count(etype)
+        return held.nonzero()[0]
 
     def supports(self, multiset: Iterable[str]) -> tuple[int, int]:
         """(positive, negative) support of the constraint-free chronicle."""
         held = self.containing(multiset)
-        supp_pos = bisect_left(held, self.n_pos)
+        supp_pos = int(np.count_nonzero(held < self.n_pos))
         return supp_pos, len(held) - supp_pos
 
 
 def _search(
-    chronicle: Chronicle,
-    sequence: Sequence,
-    buckets: Mapping[str, SequenceType[int]] | None = None,
+    chronicle: Chronicle, sequence: Sequence
 ) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
     """Yield canonical (mapping, timestamps) pairs by backtracking.
 
     Items are assigned in multiset order; candidate events come from the
-    sequence's per-type buckets (built here unless the caller passes them),
-    and a partial assignment is abandoned as soon as any constraint among
-    already-mapped items fails.  Buckets of different types are disjoint, so
-    injectivity only needs enforcing within a type, which the
-    strictly-increasing bucket index for equal-typed runs already does.
+    sequence's per-type buckets, and a partial assignment is abandoned as
+    soon as any constraint among already-mapped items fails.  Buckets of
+    different types are disjoint, so injectivity only needs enforcing
+    within a type, which the strictly-increasing bucket index for
+    equal-typed runs already does.
     """
     items = chronicle.items
     m = len(items)
@@ -127,8 +131,7 @@ def _search(
         return
 
     events = sequence.events
-    if buckets is None:
-        buckets = _bucketize(events)
+    buckets = _bucketize(events)
 
     for etype, count in Counter(items).items():
         if len(buckets.get(etype, ())) < count:

@@ -2,8 +2,11 @@
 
 For a frequent multiset, every canonical occurrence in the dataset becomes
 one row of a relational duration table: one signed-duration attribute per
-ordered item pair, labeled with the sequence label.  The rows come from one
-enumeration over only the sequences that hold the multiset.  A
+ordered item pair, labeled with the sequence label.  The occurrences of an
+unconstrained multiset need no search: in each sequence that holds it they
+are the product, over its runs of equal types, of the combinations of that
+type's events, so the rows are built in closed form from the type index's
+timestamp arrays, in the order the matcher would yield them.  A
 sequential-covering learner (grow by FOIL information gain, prune by
 reduced error) induces interval rules for the positive class; each rule
 translates directly into a set of temporal constraints.
@@ -23,12 +26,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import lru_cache
+from itertools import chain, combinations, islice
 from typing import Iterable
 
 import numpy as np
 
-from .matcher import DEFAULT_OCCURRENCE_CAP, OccurrenceCapWarning, TypeIndex, _search, support
+from .matcher import DEFAULT_OCCURRENCE_CAP, OccurrenceCapWarning, TypeIndex, support
 from .model import (
     POSITIVE,
     Chronicle,
@@ -129,6 +133,41 @@ class DurationTable:
                 writer.writerow([sid, *(repr(v) for v in row), "+" if lab else "-"])
 
 
+#: Row count standing for "more than any table can hold" when no cap applies.
+_NO_CAP = int(np.iinfo(np.int64).max)
+
+
+@lru_cache(maxsize=64)
+def _combinations(n: int, k: int, limit: int) -> np.ndarray:
+    """The first ``limit`` k-combinations of range(n) in lexicographic
+    order, one per row (all of them when there are fewer)."""
+    rows = min(math.comb(n, k), limit)
+    flat = np.fromiter(
+        chain.from_iterable(islice(combinations(range(n), k), rows)),
+        dtype=np.int32,
+        count=rows * k,
+    )
+    flat.flags.writeable = False
+    return flat.reshape(rows, k)
+
+
+def _pick_tables(
+    n: np.ndarray, k: int, limit: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ways to pick ``k`` of ``n[s]`` events, clipped at ``limit``, for each
+    sequence ``s``; with the concatenated ``_combinations`` tables of the
+    distinct counts and each sequence's offset into them."""
+    distinct = sorted(set(n.tolist()))
+    tables = [_combinations(v, k, limit) for v in distinct]
+    sizes = np.array([len(t) for t in tables], dtype=np.int64)
+    size_of = np.zeros(distinct[-1] + 1, dtype=np.int64)
+    size_of[distinct] = sizes
+    offset_of = np.zeros_like(size_of)
+    offset_of[distinct] = np.cumsum(sizes) - sizes
+    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    return size_of[n], table, offset_of[n]
+
+
 def build_duration_table(
     multiset: Iterable[str],
     dataset: SequenceDataset,
@@ -137,49 +176,94 @@ def build_duration_table(
 ) -> DurationTable:
     """Duration table over all canonical occurrences in the whole dataset.
 
-    Only the sequences that hold the multiset are enumerated; ``index`` is
-    the dataset's ``TypeIndex``, built here when not given.
+    Only the sequences that hold the multiset contribute; ``index`` is the
+    dataset's ``TypeIndex``, built here when not given.  The rows are built
+    in closed form from the index's timestamp arrays, with no search.
+
+    The sorted multiset splits into runs of equal types, e.g. (A, B, B) is
+    A x 1 and B x 2.  In a sequence with ``n`` events of a run's type, the
+    run's items take one of the C(n, k) k-combinations of those events, so
+    the sequence's occurrences are the product of its runs' combinations.
+    Row ``r`` of a sequence is the product element of rank ``r``: its
+    mixed-radix digits, last run least significant, each pick the
+    lexicographically ``digit``-th combination of a run.  That is the order
+    in which the matcher's backtracking yields the occurrences, so a capped
+    sequence keeps the same first ``cap`` rows.  A digit of a run with
+    ``k = 1`` is the event's index; for ``k >= 2`` it indexes a cached table
+    of the first ``cap + 1`` combinations of range(n).  The picked events'
+    timestamps are read from ``stamps[t][start[t][s] + index]``, and the
+    durations are ``stamps[:, j] - stamps[:, i]`` per pair (i, j).
+
+    The binomials of runs with ``k >= 2``, and every partial product, are
+    clipped at ``cap + 1``, so no count overflows.  That decides ``capped``
+    (product > cap) before any row is made, and the clipped radices give
+    the same digits: a row rank is below ``cap``, so a run whose radix was
+    clipped gets the rank itself as its digit and passes a zero quotient to
+    the runs before it, as it would with the true radix.
     """
     multiset = tuple(multiset)
     if len(multiset) < 2:
         raise ValueError("duration attributes need a multiset of at least 2 items")
+    if list(multiset) != sorted(multiset):
+        raise ValueError(f"multiset items must be sorted, got {multiset}")
     if index is None:
         index = TypeIndex(dataset)
-    chronicle = Chronicle.unconstrained(multiset)
+    held = index.containing(multiset)
+    runs = [(etype, multiset.count(etype)) for etype in dict.fromkeys(multiset)]
+    limit = _NO_CAP if cap is None else min(cap + 1, _NO_CAP)
 
-    types = set(multiset)
-    sids: list[str] = []
-    times: list[tuple[float, ...]] = []
-    held: list[int] = []
-    rows_per_seq: list[int] = []
-    capped: list[int] = []
-    for k in index.containing(multiset):
-        seq = index.sequences[k]
-        occurrences = _search(chronicle, seq, index.buckets(k, types))
-        found = [t for _, t in islice(occurrences, None if cap is None else cap + 1)]
-        if cap is not None and len(found) > cap:
-            del found[cap:]
-            capped.append(k)
+    # per run: each held sequence's events of the type, the ways to pick k
+    # of them, and their product over the runs so far, all clipped at limit
+    counts = np.ones(len(held), dtype=np.int64)
+    picks = []
+    for etype, k in runs:
+        n = index.count[etype][held].astype(np.int64)
+        if k == 1 or not len(held):  # with no sequence there is nothing to pick
+            radix, table, offset = n, None, None
+        else:
+            radix, table, offset = _pick_tables(n, k, limit)
+        picks.append((radix, table, offset))
+        counts = np.where(counts > limit // radix, limit, counts * radix)
+    capped: tuple[int, ...] = ()
+    if cap is not None:
+        capped = tuple(held[counts > cap].tolist())
+        for k in capped:
             warnings.warn(
-                f"occurrence cap {cap} reached in sequence {seq.sid!r}; "
+                f"occurrence cap {cap} reached in sequence {index.sequences[k].sid!r}; "
                 "duration table truncated",
                 OccurrenceCapWarning,
                 stacklevel=2,
             )
-        times.extend(found)
-        sids.extend([seq.sid] * len(found))
-        held.append(k)
-        rows_per_seq.append(len(found))
-    stamps = np.asarray(times, dtype=float).reshape(len(times), len(multiset))
+        counts = np.minimum(counts, cap)
+
+    ends = np.cumsum(counts)
+    seq_of_row = np.repeat(np.arange(len(held)), counts)
+    rank = np.arange(len(seq_of_row)) - np.repeat(ends - counts, counts)
+    stamps = np.empty((len(seq_of_row), len(multiset)))
+    col = len(multiset)
+    for (etype, k), (radix, table, offset) in zip(reversed(runs), reversed(picks)):
+        col -= k
+        if col:
+            rank, digit = np.divmod(rank, radix[seq_of_row])
+        else:
+            digit = rank  # the most significant digit is what is left
+        first = np.repeat(index.start[etype][held], counts)
+        if table is None:
+            stamps[:, col] = index.stamps[etype][first + digit]
+        else:
+            event = first[:, None] + table[offset[seq_of_row] + digit]
+            stamps[:, col : col + k] = index.stamps[etype][event]
+
+    sids = np.array([index.sequences[k].sid for k in held.tolist()], dtype=object)
+    seq_index = np.repeat(held.astype(np.int32), counts)
     first, second = np.asarray(pair_attributes(multiset)).T
-    seq_index = np.repeat(np.asarray(held, dtype=np.int32), rows_per_seq)
     return DurationTable(
         multiset=multiset,
-        sids=tuple(sids),
+        sids=tuple(sids[seq_of_row].tolist()),
         durations=stamps[:, second] - stamps[:, first],
         labels=seq_index < index.n_pos,
         seq_index=seq_index,
-        capped=tuple(capped),
+        capped=capped,
     )
 
 

@@ -2,14 +2,18 @@
 output is known without knowing the output."""
 
 import random
+import string
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chronomine.pipeline as pipeline
 from chronomine import (
     Chronicle,
     DcmConfig,
     Event,
+    MinedChronicle,
     PlantedPattern,
     Sequence,
     SequenceDataset,
@@ -73,3 +77,72 @@ def test_per_sequence_shift_leaves_output_unchanged(seed, n_seqs, sigma_min, g_m
         random_sequence(rng, sid=f"s{k}", label="+" if k % 2 else "-") for k in range(n_seqs)
     )
     _assert_shift_invariant(dataset, DcmConfig(sigma_min=sigma_min, g_min=g_min), rng)
+
+
+def _assert_rename_invariant(dataset, config, rng):
+    # equal-length new names keep the order of the types and also of the
+    # learner's attribute names "X->Y", which break ties between conditions
+    types = sorted(dataset.alphabet)
+    names = set()
+    while len(names) < len(types):
+        names.add("".join(rng.choice(string.ascii_uppercase) for _ in range(3)))
+    rename = dict(zip(types, sorted(names)))
+    back = {new: old for old, new in rename.items()}
+    renamed = SequenceDataset.from_sequences(
+        Sequence(
+            sid=s.sid,
+            events=tuple(Event(rename[e.event_type], e.timestamp) for e in s.events),
+            label=s.label,
+        )
+        for s in dataset.sequences
+    )
+
+    expected = [
+        MinedChronicle(
+            chronicle=Chronicle(
+                items=tuple(rename[t] for t in m.chronicle.items),
+                constraints=m.chronicle.constraints,
+            ),
+            supp_pos=m.supp_pos,
+            supp_neg=m.supp_neg,
+        )
+        for m in dcm(dataset, config)
+    ]
+    # the learner seeds its grow/prune splits from the multiset's type
+    # names; the renamed run draws the original names' seeds
+    seed_of = pipeline._multiset_seed
+    with mock.patch.object(
+        pipeline, "_multiset_seed", lambda base, ms: seed_of(base, tuple(back[t] for t in ms))
+    ):
+        results = dcm(renamed, config)
+    assert render(results, "json") == render(expected, "json")
+    return expected
+
+
+def test_order_preserving_rename_renames_planted_output():
+    spec = SyntheticSpec(
+        n_pos=100,
+        n_neg=100,
+        patterns=(PlantedPattern(Chronicle.build(("A", "B"), [(0, 1, 10, 20)]), 0.8, 0.05),),
+        noise_types=("N1", "N2", "N3"),
+        noise_events=4,
+        horizon=90.0,
+    )
+    dataset = generate_synthetic(spec, seed=5)
+    results = _assert_rename_invariant(dataset, DcmConfig(sigma_min=0.05, g_min=2.0), random.Random(2))
+    assert any(m.chronicle.constraints for m in results)
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_seqs=st.integers(4, 14),
+    sigma_min=st.sampled_from([1, 2]),
+    g_min=st.sampled_from([1.0, 1.5, 2.0]),
+)
+def test_order_preserving_rename_renames_output(seed, n_seqs, sigma_min, g_min):
+    rng = random.Random(seed)
+    dataset = SequenceDataset.from_sequences(
+        random_sequence(rng, sid=f"s{k}", label="+" if k % 2 else "-") for k in range(n_seqs)
+    )
+    _assert_rename_invariant(dataset, DcmConfig(sigma_min=sigma_min, g_min=g_min), rng)

@@ -17,7 +17,9 @@ import chronomine.rules as rules
 from chronomine import (
     Chronicle,
     DcmConfig,
+    Event,
     OccurrenceCapWarning,
+    Sequence,
     SequenceDataset,
     build_duration_table,
     dcm,
@@ -65,26 +67,81 @@ def test_index_supports_equal_brute_force_containment(seed):
         )
         assert index.supports(ms) == expected
         held = [k for k, s in enumerate(ds.sequences) if holds(s, ms)]
-        assert index.containing(ms) == held
+        assert index.containing(ms).tolist() == held
 
 
 @settings(BOUNDED)
-@given(seed=SEEDS)
-def test_table_rows_equal_the_matchers_occurrences(seed):
+@given(seed=SEEDS, cap=st.sampled_from([None, 1, 2, 5]))
+def test_table_rows_equal_the_matchers_occurrences(seed, cap):
+    # sizes up to 4 over 3 types cover runs of 1 to 4 equal types, and the
+    # integer timestamps of random_sequence give ties within a run
     ds = random_dataset(random.Random(seed))
     index = TypeIndex(ds)
-    for ms in multisets(ALPHABET, (2, 3)):
-        table = build_duration_table(ms, ds, cap=None, index=index)
+    for ms in multisets(ALPHABET, (2, 3, 4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OccurrenceCapWarning)
+            table = build_duration_table(ms, ds, cap=cap, index=index)
         chronicle = Chronicle.unconstrained(ms)
-        sids, rows = [], []
-        for seq in ds.sequences:
-            for occ in enumerate_occurrences(chronicle, seq, cap=None):
+        sids, seq_index, rows, capped = [], [], [], []
+        for k, seq in enumerate(ds.sequences):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", OccurrenceCapWarning)
+                occurrences = enumerate_occurrences(chronicle, seq, cap=cap)
+            if caught:
+                capped.append(k)
+            for occ in occurrences:
                 t = occ.timestamps
                 sids.append(seq.sid)
+                seq_index.append(k)
                 rows.append([t[j] - t[i] for i, j in table.pairs])
         assert table.sids == tuple(sids)
+        assert table.seq_index.tolist() == seq_index
         assert np.array_equal(table.durations, np.asarray(rows).reshape(table.durations.shape))
-        assert list(table.labels) == [sid.startswith("p") for sid in sids]
+        assert table.labels.tolist() == [sid.startswith("p") for sid in sids]
+        assert table.capped == tuple(capped)
+
+
+def test_cap_warns_once_per_capped_sequence_in_sequence_order():
+    # rows per sequence are C(#a, 2) * #b
+    counts = {"p0": (3, 2), "p1": (2, 1), "p2": (4, 1), "n0": (2, 6), "n1": (3, 1), "n2": (1, 5)}
+    ds = SequenceDataset.from_sequences(
+        Sequence(
+            sid=sid,
+            events=tuple(Event("a", float(t)) for t in range(n_a))
+            + tuple(Event("b", float(t)) for t in range(n_b)),
+            label="+" if sid.startswith("p") else "-",
+        )
+        for sid, (n_a, n_b) in counts.items()
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = build_duration_table(("a", "a", "b"), ds, cap=5)
+    assert [str(w.message) for w in caught] == [
+        f"occurrence cap 5 reached in sequence {sid!r}; duration table truncated"
+        for sid in ("p0", "p2", "n0")
+    ]
+    assert all(w.category is OccurrenceCapWarning for w in caught)
+    assert all(w.filename == __file__ for w in caught)
+    assert [ds.sequences[k].sid for k in table.capped] == ["p0", "p2", "n0"]
+    assert np.bincount(table.seq_index).tolist() == [5, 1, 5, 5, 3]
+
+
+def test_cap_holds_where_the_occurrence_count_overflows_int64():
+    # 20 types of 9 events each: 9**20 occurrences, more than 2**63
+    types = [f"t{i:02d}" for i in range(20)]
+    seq = Sequence(
+        sid="p0",
+        events=tuple(Event(t, float(i * 10 + k)) for i, t in enumerate(types) for k in range(9)),
+        label="+",
+    )
+    ds = SequenceDataset.from_sequences([seq])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OccurrenceCapWarning)
+        table = build_duration_table(types, ds, cap=5)
+        occurrences = enumerate_occurrences(Chronicle.unconstrained(types), seq, cap=5)
+    assert table.capped == (0,)
+    expected = [[o.timestamps[j] - o.timestamps[i] for i, j in table.pairs] for o in occurrences]
+    assert table.durations.tolist() == expected
 
 
 @settings(BOUNDED)
