@@ -49,6 +49,7 @@ from .rules import (
     NumericalRule,
     build_duration_table,
     induce_rules,
+    induce_rules_batch,
     reevaluate,
     row_growth,
     translate,
@@ -99,6 +100,7 @@ __all__ = [
     "NumericalRule",
     "build_duration_table",
     "induce_rules",
+    "induce_rules_batch",
     "reevaluate",
     "row_growth",
     "translate",

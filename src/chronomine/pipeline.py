@@ -8,10 +8,17 @@ the output contract is simple: every returned chronicle is discriminant at
 the configured thresholds.
 
 Each run indexes the dataset's event types once (``TypeIndex``).  The
-index gives the constraint-free supports and the sequences each duration
-table enumerates, and each learned chronicle is re-scored from its
-multiset's table, with the matcher only as the fallback for sequences the
-occurrence cap truncated.
+index gives the constraint-free supports, and ``dcm`` applies the
+shortcut itself: only the multisets that are not discriminant alone go on
+to learning.  Their duration tables are built in order and learned in
+batches, flushed at ``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells:
+batching shares numpy's per-call cost among many small tables, and the
+bounds cap the memory a batch holds, with a larger table learned alone.
+Each learned chronicle is re-scored from its multiset's table, with the
+matcher only as the fallback for sequences the occurrence cap truncated.
+With ``CHRONOMINE_THREADS`` above 1, a process pool maps that learning
+over contiguous slices of the learned multisets, ``SLICES_PER_WORKER``
+per worker.
 """
 
 from __future__ import annotations
@@ -27,10 +34,28 @@ from .errors import ConfigError
 from .itemsets import decode_to_multisets, encode, mine_frequent_itemsets
 from .matcher import TypeIndex
 from .model import Chronicle, MinedChronicle, SequenceDataset
-from .rules import build_duration_table, induce_rules, reevaluate, translate
+from .rules import (
+    DurationTable,
+    build_duration_table,
+    induce_rules,  # not called here: perfbench's tracer wraps this module's name
+    induce_rules_batch,
+    reevaluate,
+    translate,
+)
 
-#: Workers for the per-multiset loop; unset or 1 means run sequentially.
+#: Workers that learn the multisets' constraints; unset or 1 means run
+#: sequentially.
 THREADS_ENV_VAR = "CHRONOMINE_THREADS"
+#: The pool maps over contiguous slices of the learned multisets, this many
+#: per worker, so that a slow slice can be balanced by the others.
+SLICES_PER_WORKER = 4
+#: A batch of duration tables holds at most this many tables, and no more
+#: cells (rows x columns) than this unless it is one table.  Learning
+#: small tables together shares numpy's per-call cost among them; the bounds
+#: cap what a batch holds at once (its tables, their presorted columns and a
+#: ``random.Random`` each), and a large table is learned alone, with no copy.
+BATCH_TABLES = 64
+BATCH_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,35 +115,51 @@ def _multiset_seed(base_seed: int, multiset: tuple[str, ...]) -> int:
     return (base_seed * 1_000_003 + zlib.crc32("|".join(multiset).encode())) & 0x7FFFFFFF
 
 
-def _mine_one(
-    multiset: tuple[str, ...],
+def _learn(
+    multisets: list[tuple[str, ...]],
     dataset: SequenceDataset,
     index: TypeIndex,
     config: DcmConfig,
     sigma: int,
-    supp_pos: int,
-    supp_neg: int,
 ) -> list[MinedChronicle]:
-    """Process one frequent multiset: shortcut or constraint learning."""
-    if _passes_growth(supp_pos, supp_neg, config.g_min, config.strict_growth):
-        return [
-            MinedChronicle(
-                chronicle=Chronicle.unconstrained(multiset),
-                supp_pos=supp_pos,
-                supp_neg=supp_neg,
-            )
-        ]
-    if len(multiset) < 2:
-        return []  # a singleton has no pair duration to constrain
-    table = build_duration_table(
-        multiset, dataset, cap=config.occurrence_cap, index=index
-    )
-    rules = induce_rules(table, config.g_min, seed=_multiset_seed(config.seed, multiset))
-    out = []
-    for rule in rules:
-        mined = reevaluate(translate(rule, multiset), dataset, table)
-        if mined.supp_pos >= sigma and mined.growth_rate >= config.g_min:
-            out.append(mined)
+    """Learn the constraints of multisets that are not discriminant alone.
+
+    Their duration tables are built in order and learned in batches with
+    ``induce_rules_batch``.  A batch is learned once it holds
+    ``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells, and before a table
+    that would take it past ``BATCH_CELLS`` joins it, so a larger table is
+    learned alone and right after it is built.  Each rule is then
+    re-scored at sequence level from its table and kept if it passes both
+    thresholds.
+    """
+    out: list[MinedChronicle] = []
+    batch: list[DurationTable] = []
+    cells = 0
+
+    def learn() -> None:
+        nonlocal cells
+        seeds = [_multiset_seed(config.seed, table.multiset) for table in batch]
+        for table, rules in zip(batch, induce_rules_batch(batch, config.g_min, seeds)):
+            for rule in rules:
+                mined = reevaluate(translate(rule, table.multiset), dataset, table)
+                if mined.supp_pos >= sigma and mined.growth_rate >= config.g_min:
+                    out.append(mined)
+        batch.clear()
+        cells = 0
+
+    for multiset in multisets:
+        table = build_duration_table(
+            multiset, dataset, cap=config.occurrence_cap, index=index
+        )
+        if batch and cells + table.durations.size > BATCH_CELLS:
+            learn()
+        batch.append(table)
+        cells += table.durations.size
+        del table  # the batch holds it until it is learned
+        if len(batch) == BATCH_TABLES or cells >= BATCH_CELLS:
+            learn()
+    if batch:
+        learn()
     return out
 
 
@@ -130,10 +171,9 @@ def _init_worker(dataset, index, config, sigma):
     _WORKER_STATE = (dataset, index, config, sigma)
 
 
-def _run_worker(task):
-    multiset, supp_pos, supp_neg = task
+def _run_worker(multisets):
     dataset, index, config, sigma = _WORKER_STATE
-    return _mine_one(multiset, dataset, index, config, sigma, supp_pos, supp_neg)
+    return _learn(multisets, dataset, index, config, sigma)
 
 
 def _worker_count() -> int:
@@ -202,23 +242,37 @@ def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[Mined
     multisets.sort()
 
     index = TypeIndex(dataset)
-    tasks = [(ms, *index.supports(ms)) for ms in multisets]
+    results: list[MinedChronicle] = []
+    learned = []
+    for multiset in multisets:
+        supp_pos, supp_neg = index.supports(multiset)
+        if _passes_growth(supp_pos, supp_neg, config.g_min, config.strict_growth):
+            results.append(
+                MinedChronicle(
+                    chronicle=Chronicle.unconstrained(multiset),
+                    supp_pos=supp_pos,
+                    supp_neg=supp_neg,
+                )
+            )
+        elif len(multiset) > 1:  # a singleton has no pair duration to constrain
+            learned.append(multiset)
 
     workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(learned) > 1:
+        n_slices = min(len(learned), workers * SLICES_PER_WORKER)
+        bounds = [len(learned) * k // n_slices for k in range(n_slices + 1)]
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)),
+            max_workers=min(workers, n_slices),
             initializer=_init_worker,
             initargs=(dataset, index, config, sigma),
         ) as pool:
-            chunks = list(pool.map(_run_worker, tasks, chunksize=8))
+            slices = [learned[a:b] for a, b in zip(bounds, bounds[1:])]
+            for chunk in pool.map(_run_worker, slices):
+                results.extend(chunk)
     else:
-        chunks = [
-            _mine_one(ms, dataset, index, config, sigma, sp, sn) for ms, sp, sn in tasks
-        ]
+        results.extend(_learn(learned, dataset, index, config, sigma))
 
     unique: dict[Chronicle, MinedChronicle] = {}
-    for chunk in chunks:
-        for mined in chunk:
-            unique.setdefault(mined.chronicle, mined)
+    for mined in results:
+        unique.setdefault(mined.chronicle, mined)
     return sorted(unique.values(), key=_output_order)

@@ -11,6 +11,15 @@ sequential-covering learner (grow by FOIL information gain, prune by
 reduced error) induces interval rules for the positive class; each rule
 translates directly into a set of temporal constraints.
 
+The learner takes a batch of tables (``induce_rules_batch``); one table is
+a batch of one (``induce_rules``).  The tables with the same number of
+columns are stacked and their columns presorted once.  Their covering
+rounds run in lockstep, each table with its own seeded grow/prune split,
+and every grow step scores the candidate thresholds of all the tables
+still growing in a few segmented numpy calls, so a small table no longer
+pays numpy's per-call cost alone.  A batch holds all its tables at once:
+callers bound its size.
+
 Several rows may come from one sequence, so a translated chronicle is
 re-scored at sequence level.  Given the multiset's table, ``reevaluate``
 counts the distinct positive and negative sequences among the rows the
@@ -82,7 +91,8 @@ class DurationTable:
     (rows x pairs) float array where column p holds timestamp(j) -
     timestamp(i) for pair (i, j).  ``labels`` is True for rows from positive
     sequences.  ``seq_index`` gives each row's sequence as its position in
-    ``dataset.sequences`` (numbered by first appearance when not given), and
+    ``dataset.sequences``, so within one class their order is sid order
+    (numbered in sid order when not given), and
     ``capped`` lists the positions of the sequences whose enumeration hit
     the occurrence cap, so their rows are incomplete.
     """
@@ -102,11 +112,9 @@ class DurationTable:
         )
         self.labels = np.asarray(self.labels, dtype=bool).reshape(len(self.sids))
         if self.seq_index is None:
-            first: dict[str, int] = {}
+            rank = {sid: k for k, sid in enumerate(sorted(set(self.sids)))}
             self.seq_index = np.fromiter(
-                (first.setdefault(sid, len(first)) for sid in self.sids),
-                dtype=np.int64,
-                count=len(self.sids),
+                (rank[sid] for sid in self.sids), dtype=np.int64, count=len(self.sids)
             )
         self.seq_index = np.asarray(self.seq_index).reshape(len(self.sids))
 
@@ -312,137 +320,203 @@ def row_growth(rule: NumericalRule, table: DurationTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# growing
+# learning
 
 # Directions of a threshold condition: "attr <= v" and "attr >= v".
 _LE, _GE = 0, 1
 
-#: Array gains within this share of (|best gain| + p0) of the best one are
-#: rescored with math.log2.  np.log2 may differ from math.log2 in the last
-#: bits of log2(p1 / (p1 + n1)), whose magnitude is below 64, so a gain moves
-#: by less than p1 * 1e-13.  Scaling by p0 >= p1 keeps the true winner in the
-#: shortlist also when the gain's two terms cancel.
+#: Array gains within this share of (|best gain| + p0) of a table's best one
+#: are rescored with math.log2.  np.log2 may differ from math.log2 in the
+#: last bits of log2(p1 / (p1 + n1)), whose magnitude is below 64, so a gain
+#: moves by less than p1 * 1e-13.  Scaling by p0 >= p1 keeps the true winner
+#: in the shortlist also when the gain's two terms cancel.
 _SHORTLIST = 1e-9
 
 
-def _presort(durations: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Row order of each duration column: a (columns x rows) index array,
-    ascending by value and, among equal values, negative rows first."""
-    by_label = np.argsort(labels, kind="stable")
-    order = np.argsort(durations[by_label], axis=0, kind="stable")
-    return by_label[order.T]
+class _Batch:
+    """Tables with the same columns, learned together as one segmented table.
 
+    The tables' rows are stacked, table after table, in ``values`` and
+    ``labels``: table ``t`` owns rows ``start[t]`` up to ``stop[t]``.
+    ``covered`` marks the rows covered by the conditions grown so far.
+    ``order`` has one row per column, which lists each table's rows in turn,
+    ascending by that column's value and, among equal values, negatives
+    first; it is sorted once per batch.
 
-def _best_condition(
-    durations: np.ndarray,
-    labels: np.ndarray,
-    order: np.ndarray,
-    covered: np.ndarray,
-    names: tuple[str, ...],
-) -> tuple[float, int, int, int, float] | None:
-    """Single threshold condition maximizing FOIL information gain over the
-    covered rows.
-
-    ``order`` is ``_presort(durations, labels)``: filtering it by the
-    ``covered`` row mask gives every column's covered rows in value order,
-    with no sort.  Thresholds are observed values next to a label boundary
-    in that order: a split between two groups of equal values, unless both
-    groups hold only positives or both only negatives.  "attr <= v" takes
-    the value left of the boundary, "attr >= v" the value right of it.
-    Every candidate's gain is computed in one array expression; the ones
-    within ``_SHORTLIST`` of the best are rescored with ``math.log2``, so
-    the gains compared are exact.  Among gains above 1e-12 the winner has
-    the smallest (-gain, -p1, name, threshold, direction).  Returns (gain,
-    p1, column, direction, threshold) for the winner or None when no
-    condition gains.
+    A grow step filters ``order`` by ``covered``.  Every column keeps the
+    same rows, so each column of the result holds one segment per table,
+    and a segment's length is its table's covered row count: the segment
+    bounds come from those counts, with no per-entry segment id.  The step
+    reads a working set of tables, rebuilt when the tables it serves hold
+    at most half of the set's rows; a table outside the step covers no row,
+    so it adds nothing to the filtered arrays.
     """
-    p0 = int(np.count_nonzero(labels & covered))
-    if p0 == 0:
-        return None
-    m = int(np.count_nonzero(covered))
-    n0 = m - p0
-    base = math.log2(p0 / (p0 + n0))
 
-    # every column's covered rows in value order, one column after another
-    rows = order[covered[order]]
-    n_cols = len(order)
-    vals = durations[rows.reshape(n_cols, m), np.arange(n_cols)[:, None]].ravel()
-    labs = labels[rows]
-    del rows  # free the largest temporary before the next ones are made
-    # ends: the last row of each group of equal values; a column's last row
-    # always ends one, so no group spans two columns
-    end = np.empty(len(vals), dtype=bool)
-    np.not_equal(vals[1:], vals[:-1], out=end[:-1])
-    end[m - 1 :: m] = True
-    ends = end.nonzero()[0]
-    # negatives sort first among equal values, so a group holds only
-    # positives iff its first label is True, only negatives iff its last is
-    # False; split i lies between groups i and i + 1
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    first = labs[starts]
-    last = labs[ends]
-    split = (
-        (starts[1:] % m != 0)
-        & ~(first[:-1] & first[1:])
-        & (last[:-1] | last[1:])
-    )
-    at = ends[:-1][split]  # last row left of each boundary
-    if not len(at):
-        return None
-    p_le = labs.reshape(n_cols, m).cumsum(axis=1).ravel()[at]
-    n_le = at % m + 1 - p_le
-    p1 = np.concatenate((p_le, p0 - p_le))
-    n1 = np.concatenate((n_le, n0 - n_le))
-    # p1 == 0 would be log2(0); its gain is set to 0 and it is skipped below
-    gains = p1 * (np.log2(p1 / (p1 + n1) + (p1 == 0)) - base)
-    top = float(gains.max())
-    close = (gains >= top - _SHORTLIST * (abs(top) + p0)).nonzero()[0]
-
-    best: tuple | None = None  # sort key: (-gain, -p1, name, threshold, direction)
-    result: tuple[float, int, int, int, float] | None = None
-    for j, p, n in zip(close.tolist(), p1[close].tolist(), n1[close].tolist()):
-        if p == 0:
-            continue
-        gain = p * (math.log2(p / (p + n)) - base)
-        if gain <= 1e-12:
-            continue
-        direction = _LE if j < len(at) else _GE
-        k = int(at[j % len(at)])
-        threshold = float(vals[k] if direction == _LE else vals[k + 1])
-        key = (-gain, -p, names[k // m], threshold, direction)
-        if best is None or key < best:
-            best = key
-            result = (gain, p, k // m, direction, threshold)
-    return result
-
-
-def _grow(
-    durations: np.ndarray,
-    labels: np.ndarray,
-    order: np.ndarray,
-    grow: np.ndarray,
-    names: tuple[str, ...],
-) -> list[tuple[int, int, float]]:
-    """Greedily add threshold conditions, learned on the rows of the
-    ``grow`` mask, until no negative grow row is covered or no condition
-    improves; returns the ordered (column, direction, threshold)
-    conditions.  ``order`` is the table's ``_presort``."""
-    covered = grow.copy()
-    negatives = ~labels
-    conditions: list[tuple[int, int, float]] = []
-    while np.count_nonzero(negatives & covered) > 0:
-        found = _best_condition(durations, labels, order, covered, names)
-        if found is None:
-            break
-        _, _, col, direction, threshold = found
-        conditions.append((col, direction, threshold))
-        if direction == _LE:
-            covered &= durations[:, col] <= threshold
+    def __init__(self, tables: list[DurationTable]):
+        self.names = [table.names for table in tables]
+        self.width = len(tables[0].pairs)
+        lengths = [len(table) for table in tables]
+        self.stop = np.cumsum(lengths).tolist()
+        self.start = [stop - n for stop, n in zip(self.stop, lengths)]
+        order = []
+        for table, start in zip(tables, self.start):
+            by_label = np.argsort(table.labels, kind="stable")
+            rank = np.argsort(table.durations[by_label].T, axis=1, kind="stable")
+            rows = by_label[rank]
+            del rank
+            rows += start
+            order.append(rows)
+        if len(tables) == 1:
+            self.values, self.labels, self.order = tables[0].durations, tables[0].labels, order[0]
         else:
-            covered &= durations[:, col] >= threshold
-    return conditions
+            self.values = np.concatenate([table.durations for table in tables])
+            self.labels = np.concatenate([table.labels for table in tables])
+            self.order = np.concatenate(order, axis=1)
+        # the values in memory order, with no copy of a table's C- or
+        # F-ordered durations: row r, column c is cell r * steps[0] + c * steps[1]
+        if not (self.values.flags.c_contiguous or self.values.flags.f_contiguous):
+            self.values = np.ascontiguousarray(self.values)
+        self._cells = self.values.ravel(order="K")
+        steps = [stride // self.values.itemsize for stride in self.values.strides]
+        self._row_step = steps[0]
+        self._column_cells = np.arange(self.width)[:, None] * steps[1]
+        self.covered = np.zeros(len(self.labels), dtype=bool)
+        self._work = list(range(len(tables)))
+        self._work_order = self.order.ravel()
+
+    def cover(self, t: int, rows: np.ndarray | None) -> None:
+        """Cover the rows of table ``t`` in the ``rows`` mask; None covers none."""
+        self.covered[self.start[t] : self.stop[t]] = False if rows is None else rows
+
+    def restrict(self, t: int, column: int, direction: int, threshold: float) -> None:
+        """Uncover the rows of table ``t`` that fail a threshold condition."""
+        values = self.values[self.start[t] : self.stop[t], column]
+        keep = values <= threshold if direction == _LE else values >= threshold
+        self.covered[self.start[t] : self.stop[t]] &= keep
+
+    def best(
+        self, ts: list[int], p0: list[int], n0: list[int]
+    ) -> list[tuple[float, int, int, int, int, float] | None]:
+        """One grow step: each table's single threshold condition maximizing
+        FOIL information gain over its covered rows.
+
+        ``ts`` lists the tables in ascending order; table ``ts[i]`` covers
+        ``p0[i] > 0`` positive and ``n0[i]`` negative rows, and every other
+        table covers none.  Thresholds are observed values next to a label
+        boundary in a segment: a split between two groups of equal values,
+        unless both groups hold only positives or both only negatives.
+        "attr <= v" takes the value left of the boundary, "attr >= v" the
+        value right of it.  Every candidate's gain is computed in one array
+        expression and each segment's best taken with
+        ``np.maximum.reduceat``; the candidates within ``_SHORTLIST`` of
+        their table's best are rescored with ``math.log2``, so the gains
+        compared are exact.  Among gains above 1e-12 a table's winner has
+        the smallest (-gain, -p1, name, threshold, direction).  Returns, per
+        table, (gain, p1, n1, column, direction, threshold) for the winner,
+        or None when no condition gains.
+        """
+        width = self.width
+        if ts != self._work:
+            served = sum(self.stop[t] - self.start[t] for t in ts) * width
+            if not set(ts) <= set(self._work) or 2 * served <= len(self._work_order):
+                self._work = list(ts)
+                self._work_order = np.concatenate(
+                    [self.order[:, self.start[t] : self.stop[t]] for t in ts], axis=1
+                ).ravel()
+        # the covered entries of every column, in value order; take and
+        # compress, because indexing with a boolean mask is several times slower
+        rows = self._work_order.compress(self.covered.take(self._work_order))
+        labs = self.labels.take(rows)
+        if width > 1:  # turn the rows into the cells of their columns
+            cells = rows.reshape(width, -1)
+            cells *= self._row_step
+            cells += self._column_cells
+        vals = self._cells.take(rows)
+        del rows
+
+        n_tables = len(ts)
+        sizes = [p + n for p, n in zip(p0, n0)]  # each table's segment length
+        per_column = sum(sizes)  # entries in each column's block
+        seg_stop = np.cumsum(sizes)  # where each table's segment ends in a block
+        seg_end = np.add.outer(np.arange(0, len(vals), per_column), seg_stop - 1).ravel()
+        # ends: the last entry of each group of equal values; a segment's
+        # last entry always ends one, so no group spans two segments
+        end = np.empty(len(vals), dtype=bool)
+        np.not_equal(vals[1:], vals[:-1], out=end[:-1])
+        end[seg_end] = True
+        ends = end.nonzero()[0]
+        del end
+        # negatives sort first among equal values, so a group holds only
+        # positives iff its first label is True, only negatives iff its last
+        # is False; split i lies between groups i and i + 1 of one segment
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        first = labs[starts]
+        last = labs[ends]
+        inner = np.ones(len(ends), dtype=bool)
+        inner[np.searchsorted(ends, seg_end)] = False
+        split = inner[:-1] & ~(first[:-1] & first[1:]) & (last[:-1] | last[1:])
+        at = ends[:-1].compress(split)  # last entry left of each boundary
+        del starts, first, last, inner, split
+        if not len(at):
+            return [None] * n_tables
+        column, offset = np.divmod(at, per_column)
+        table = np.searchsorted(seg_stop, offset, side="right")
+        seg_first = at - offset
+        seg_first += (seg_stop - sizes)[table]
+        del offset
+        # positives before each entry; cast first, because a cumsum that
+        # casts allocates a second array of the same size
+        cum = np.empty(len(labs) + 1, dtype=np.intp)
+        cum[0] = 0
+        cum[1:] = labs
+        np.cumsum(cum[1:], out=cum[1:])
+        p1 = np.empty((2, len(at)), dtype=np.intp)
+        n1 = np.empty_like(p1)
+        np.subtract(cum[at + 1], cum[seg_first], out=p1[_LE])
+        del cum
+        np.subtract(at + 1 - seg_first, p1[_LE], out=n1[_LE])
+        del seg_first
+        np.subtract(np.asarray(p0)[table], p1[_LE], out=p1[_GE])
+        np.subtract(np.asarray(n0)[table], n1[_LE], out=n1[_GE])
+        bases = [math.log2(p / (p + n)) for p, n in zip(p0, n0)]
+        # p1 == 0 would be log2(0); its gain is set to 0 and it is skipped below
+        gains = p1 * (np.log2(p1 / (p1 + n1) + (p1 == 0)) - np.array(bases)[table])
+        # the boundaries run column by column, table by table within a column
+        seg = column * n_tables + table
+        opens = np.empty(len(seg), dtype=bool)
+        opens[0] = True
+        np.not_equal(seg[1:], seg[:-1], out=opens[1:])
+        first_of_seg = opens.nonzero()[0]
+        top = np.full(len(seg_end), -np.inf)
+        top[seg[first_of_seg]] = np.maximum.reduceat(gains.max(axis=0), first_of_seg)
+        top = top.reshape(width, n_tables).max(axis=0)
+        floor = top - _SHORTLIST * (np.abs(top) + p0)
+        direction, close = (gains >= floor[table]).nonzero()
+
+        k = at[close]
+        threshold = np.where(direction == _LE, vals[k], vals[k + 1])
+        found: list[tuple | None] = [None] * n_tables
+        keys: list[tuple | None] = [None] * n_tables  # (-gain, -p1, name, threshold, direction)
+        for i, d, p, n, c, v in zip(
+            table[close].tolist(),
+            direction.tolist(),
+            p1[direction, close].tolist(),
+            n1[direction, close].tolist(),
+            column[close].tolist(),
+            threshold.tolist(),
+        ):
+            if p == 0:
+                continue
+            gain = p * (math.log2(p / (p + n)) - bases[i])
+            if gain <= 1e-12:
+                continue
+            key = (-gain, -p, self.names[ts[i]][c], v, d)
+            if keys[i] is None or key < keys[i]:
+                keys[i] = key
+                found[i] = (gain, p, n, c, d, v)
+        return found
 
 
 def _condition_masks(
@@ -501,17 +575,8 @@ def _merge_conditions(
     )
 
 
-def _sid_ranks(table: DurationTable) -> np.ndarray:
-    """Each row's sequence, numbered in the order of the sequences' sids."""
-    sid_of = dict(zip(table.seq_index.tolist(), table.sids))
-    ranked = sorted(sid_of, key=sid_of.__getitem__)
-    rank = np.zeros(max(ranked) + 1, dtype=np.intp)
-    rank[ranked] = np.arange(len(ranked))
-    return rank[table.seq_index]
-
-
 def _split_rows(
-    ranks: np.ndarray,
+    seq_index: np.ndarray,
     labels: np.ndarray,
     active: np.ndarray,
     rng: random.Random,
@@ -520,33 +585,148 @@ def _split_rows(
     sequences kept on one side.  Returns None when either class is too small
     to split meaningfully.
 
-    ``ranks`` is ``_sid_ranks(table)``.  Rows are counted per sequence with
-    one bincount over it; the sequences present come out in sid order, are
-    shuffled, and the chosen ones are marked in a boolean array indexed by
-    rank.
+    ``seq_index`` is the table's: within one class, the order of sequence
+    positions is sid order.  Rows are counted per sequence with one
+    bincount; the sequences present come out in sid order, are shuffled,
+    and the chosen ones are marked in a boolean array indexed by position.
     """
     grow = active.copy()
     prune = np.zeros_like(active)
     for in_class in (labels, ~labels):
-        rows = active & in_class
-        counts = np.bincount(ranks[rows])
+        rows = (active & in_class).nonzero()[0]
+        seqs = seq_index[rows]
+        counts = np.bincount(seqs)
         class_seqs = counts.nonzero()[0].tolist()
-        n_rows = int(np.count_nonzero(rows))
-        if n_rows < MIN_ROWS_FOR_PRUNING or len(class_seqs) < 2:
+        if len(rows) < MIN_ROWS_FOR_PRUNING or len(class_seqs) < 2:
             return None
         rng.shuffle(class_seqs)
-        target = n_rows * PRUNE_FRACTION
+        target = len(rows) * PRUNE_FRACTION
         taken = 0
-        chosen = np.zeros(len(ranks), dtype=bool)  # a table has no more sequences than rows
+        chosen = np.zeros(len(counts), dtype=bool)
         for k in class_seqs[:-1]:  # at least one sequence stays in the grow set
             if taken >= target:
                 break
             chosen[k] = True
             taken += int(counts[k])
-        in_prune = rows & chosen[ranks]
-        grow &= ~in_prune
-        prune |= in_prune
+        in_prune = rows[chosen[seqs]]
+        grow[in_prune] = False
+        prune[in_prune] = True
     return grow, prune
+
+
+class _Covering:
+    """Sequential covering of one table: its split draws, the positive rows
+    not yet covered, the rules accepted (appended to ``rules``), and the
+    rule of the current round."""
+
+    def __init__(
+        self, table: DurationTable, seed: int, prune: bool, rules: list[NumericalRule]
+    ):
+        self.table = table
+        self.rng = random.Random(seed) if prune else None
+        self.remaining = table.labels.copy()  # positive rows not yet covered
+        self.rules = rules
+
+    def start_round(self) -> np.ndarray:
+        """Split the rows still in play; returns the grow mask and sets the
+        counts of the positive and negative rows it covers."""
+        labels = self.table.labels
+        active = self.remaining | ~labels
+        split = None
+        if self.rng is not None:
+            split = _split_rows(self.table.seq_index, labels, active, self.rng)
+        grow, self.prune_rows = (active, None) if split is None else split
+        self.conditions: list[tuple[int, int, float]] = []
+        self.p0 = int(np.count_nonzero(grow & labels))
+        self.n0 = int(np.count_nonzero(grow)) - self.p0
+        return grow
+
+    def finish_round(self, g_min: float) -> bool:
+        """Prune the grown rule and keep it if it reaches ``g_min`` on the
+        whole table and covers a new positive row; whether to go on."""
+        conditions = self.conditions
+        if not conditions:
+            return False
+        table = self.table
+        labels = table.labels
+        if self.prune_rows is not None:
+            rows = self.prune_rows
+            conditions = _prune(conditions, table.durations[rows], labels[rows])
+        rule = _merge_conditions(conditions, table.pairs)
+        mask = rule.covers_mask(table)
+        p_full = int(np.count_nonzero(mask & labels))
+        n_full = int(np.count_nonzero(mask)) - p_full
+        growth = math.inf if n_full == 0 else p_full / n_full
+        if p_full == 0 or growth < g_min or not (mask & self.remaining).any():
+            return False
+        self.rules.append(rule)
+        self.remaining &= ~mask
+        return bool(self.remaining.any())
+
+
+def _cover(states: list[_Covering], g_min: float) -> None:
+    """Run the covering rounds of tables with the same columns in lockstep."""
+    batch = _Batch([state.table for state in states])
+    covering = list(range(len(states)))
+    while covering:
+        growing = []
+        for t in covering:
+            grow = states[t].start_round()
+            if states[t].p0 and states[t].n0:
+                batch.cover(t, grow)
+                growing.append(t)
+        while growing:
+            found = batch.best(
+                growing, [states[t].p0 for t in growing], [states[t].n0 for t in growing]
+            )
+            still = []
+            for t, best in zip(growing, found):
+                if best is None:
+                    batch.cover(t, None)
+                    continue
+                _, p1, n1, column, direction, threshold = best
+                state = states[t]
+                state.conditions.append((column, direction, threshold))
+                state.p0, state.n0 = p1, n1
+                if n1:
+                    batch.restrict(t, column, direction, threshold)
+                    still.append(t)
+                else:
+                    batch.cover(t, None)
+            growing = still
+        covering = [t for t in covering if states[t].finish_round(g_min)]
+
+
+def induce_rules_batch(
+    tables: Iterable[DurationTable],
+    g_min: float,
+    seeds: Iterable[int],
+    prune: bool = True,
+) -> list[list[NumericalRule]]:
+    """``induce_rules`` on several tables at once: each table's rules, the
+    same as it gets alone with its seed.
+
+    The tables with the same number of columns form one ``_Batch``, whose
+    columns are presorted once.  Its covering rounds run in lockstep: each
+    table draws its own grow/prune split, then every table that still grows
+    takes its next condition from one segmented ``_Batch.best`` step, until
+    none grows; pruning and the acceptance test stay per table.  So a grow
+    step costs a few numpy calls for the whole batch, not a few per table.
+    The arrays hold all the tables at once, so callers bound how many.
+    """
+    tables = list(tables)
+    out: list[list[NumericalRule]] = [[] for _ in tables]
+    by_width: dict[int, list[_Covering]] = {}
+    for table, seed, rules in zip(tables, seeds, out):
+        n_pos = int(np.count_nonzero(table.labels))
+        if n_pos == len(table) and n_pos:
+            rules.append(NumericalRule())
+        elif n_pos:
+            state = _Covering(table, seed, prune, rules)
+            by_width.setdefault(len(table.pairs), []).append(state)
+    for states in by_width.values():
+        _cover(states, g_min)
+    return out
 
 
 def induce_rules(
@@ -562,52 +742,10 @@ def induce_rules(
     covered positive rows are removed between rules.  The support threshold
     is not applied here: it is enforced at sequence level after
     reevaluation.  Degenerate tables: all-positive rows yield the single
-    unconstrained rule, all-negative (or empty) tables yield nothing.
+    unconstrained rule, all-negative (or empty) tables yield nothing.  This
+    is a batch of one of ``induce_rules_batch``.
     """
-    labels = table.labels
-    n_pos = int(np.count_nonzero(labels))
-    n_neg = len(labels) - n_pos
-    if n_pos == 0:
-        return []
-    if n_neg == 0:
-        return [NumericalRule()]
-
-    rng = random.Random(seed)
-    durations = table.durations
-    names = table.names
-    order = _presort(durations, labels)
-    ranks = _sid_ranks(table) if prune else None
-    remaining = labels.copy()  # positive rows not yet covered
-    rules: list[NumericalRule] = []
-
-    while np.count_nonzero(remaining) > 0:
-        active = remaining | ~labels
-        split = _split_rows(ranks, labels, active, rng) if prune else None
-        if split is None:
-            grow_mask = active
-            prune_mask = None
-        else:
-            grow_mask, prune_mask = split
-
-        conditions = _grow(durations, labels, order, grow_mask, names)
-        if not conditions:
-            break
-        if prune_mask is not None:
-            conditions = _prune(conditions, durations[prune_mask], labels[prune_mask])
-
-        rule = _merge_conditions(conditions, table.pairs)
-        mask = rule.covers_mask(table)
-        p_full = int(np.count_nonzero(mask & labels))
-        n_full = int(np.count_nonzero(mask & ~labels))
-        growth = math.inf if n_full == 0 else p_full / n_full
-        if p_full == 0 or growth < g_min:
-            break
-        newly = mask & remaining
-        if not newly.any():
-            break
-        rules.append(rule)
-        remaining &= ~mask
-    return rules
+    return induce_rules_batch([table], g_min, [seed], prune)[0]
 
 
 def translate(rule: NumericalRule, multiset: Iterable[str]) -> Chronicle:

@@ -1,10 +1,11 @@
 """Differential tests of the rule learner against a pure-Python oracle.
 
 The oracle below is the learner as it was before its columns were
-presorted and its gains computed in numpy: ``np.unique`` per column, one
-``math.log2`` per label boundary, and a grow/prune split that counts rows
-per sid string.  Reduced-error pruning and rule merging are shared with
-the library.  Both learners must return identical rules.
+presorted and its gains computed in numpy, and before several tables were
+learned in one segmented batch: one table at a time, ``np.unique`` per
+column, one ``math.log2`` per label boundary, and a grow/prune split that
+counts rows per sid string.  Reduced-error pruning and rule merging are
+shared with the library.  Both learners must return identical rules.
 """
 
 import math
@@ -22,13 +23,12 @@ from chronomine.rules import (
     PRUNE_FRACTION,
     DurationTable,
     NumericalRule,
-    _best_condition,
+    _Batch,
     _merge_conditions,
-    _presort,
     _prune,
-    _sid_ranks,
     _split_rows,
     induce_rules,
+    induce_rules_batch,
 )
 
 from conftest import BOUNDED
@@ -166,12 +166,14 @@ def oracle_induce_rules(table, g_min, seed=0, prune=True):
 
 
 @st.composite
-def duration_tables(draw):
-    """Tables of 1, 3 or 6 columns over a multiset that may repeat a type,
-    several rows per sequence, and few distinct integer durations, so that
-    values, gains and tie-break keys often tie.  Sid order differs from
-    sequence order ("10" < "9"), and rows may interleave sequences."""
-    size = draw(st.integers(2, 4))
+def duration_tables(draw, size=None):
+    """Tables of 1, 3 or 6 columns (``size`` items) over a multiset that
+    may repeat a type, several rows per sequence, and few distinct integer
+    durations, so that values, gains and tie-break keys often tie.  Sid
+    order differs from numeric order ("10" < "9"), and rows may interleave
+    sequences."""
+    if size is None:
+        size = draw(st.integers(2, 4))
     multiset = tuple(sorted(draw(st.lists(st.sampled_from("AB"), min_size=size, max_size=size))))
     n_cols = size * (size - 1) // 2
     n_seqs = draw(st.integers(1, 12))
@@ -190,8 +192,15 @@ def duration_tables(draw):
         )
     )
     seq_index = None
-    if draw(st.booleans()):  # positions in a dataset, as build_duration_table gives
-        positions = draw(st.permutations(range(n_seqs)))
+    if draw(st.booleans()):
+        # positions in a dataset, as build_duration_table gives: the
+        # positives, then the negatives, each in sid order, with gaps for
+        # the dataset's sequences that do not hold the multiset
+        in_dataset = sorted(range(n_seqs), key=lambda k: (not seq_labels[k], str(sid_numbers[k])))
+        gaps = draw(st.lists(st.integers(0, 3), min_size=n_seqs, max_size=n_seqs))
+        positions = [0] * n_seqs
+        for rank, k in enumerate(in_dataset):
+            positions[k] = rank + sum(gaps[: rank + 1])
         seq_index = np.array([positions[k] for k in row_seqs], dtype=np.int32)
     return DurationTable(
         multiset=multiset,
@@ -200,6 +209,62 @@ def duration_tables(draw):
         labels=np.array([seq_labels[k] for k in row_seqs], dtype=bool),
         seq_index=seq_index,
     )
+
+
+@st.composite
+def table_batches(draw):
+    """1-8 drawn tables, mixed with an empty, an all-positive and an
+    all-negative table at drawn places."""
+    tables = draw(st.lists(duration_tables(), min_size=1, max_size=8))
+    model = tables[0]
+    special = [
+        DurationTable(
+            multiset=model.multiset,
+            sids=(),
+            durations=np.empty((0, len(model.pairs))),
+            labels=np.empty(0, dtype=bool),
+        ),
+        *(
+            DurationTable(
+                multiset=model.multiset,
+                sids=model.sids,
+                durations=model.durations,
+                labels=np.full(len(model), label),
+            )
+            for label in (True, False)
+        ),
+    ]
+    for table in special:
+        tables.insert(draw(st.integers(0, len(tables))), table)
+    return tables
+
+
+def segmented_best(tables, covered):
+    """One ``_Batch.best`` step over tables of equal width, each with its
+    own covered row mask; per table (gain, p1, column, direction,
+    threshold) or None.  As in the learner, only tables that cover a
+    positive row take part, and n1 is checked against a recount."""
+    batch = _Batch(tables)
+    ts, p0, n0 = [], [], []
+    for t, (table, cov) in enumerate(zip(tables, covered)):
+        p = int(np.count_nonzero(cov & table.labels))
+        if p:
+            batch.cover(t, cov)
+            ts.append(t)
+            p0.append(p)
+            n0.append(int(np.count_nonzero(cov & ~table.labels)))
+    found = dict(zip(ts, batch.best(ts, p0, n0))) if ts else {}
+    out = []
+    for t, (table, cov) in enumerate(zip(tables, covered)):
+        f = found.get(t)
+        if f is not None:
+            gain, p1, n1, col, direction, threshold = f
+            column = table.durations[:, col]
+            cond = cov & (column <= threshold if direction == _LE else column >= threshold)
+            assert n1 == int(np.count_nonzero(cond & ~table.labels))
+            f = (gain, p1, col, direction, threshold)
+        out.append(f)
+    return out
 
 
 def exact_gain(table, covered, found):
@@ -228,20 +293,36 @@ def test_induce_rules_matches_oracle(table, g_min, seed, prune):
 
 
 @BOUNDED
-@given(table=duration_tables(), data=st.data())
-def test_best_condition_matches_oracle_bitwise(table, data):
-    covered = np.array(
-        data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table))),
-        dtype=bool,
-    )
-    durations, labels = table.durations, table.labels
-    found = _best_condition(durations, labels, _presort(durations, labels), covered, table.names)
-    expected = oracle_best_condition(
-        durations[covered], labels[covered], np.ones(int(covered.sum()), dtype=bool), table.names
-    )
-    assert found == expected
-    if found is not None:
-        assert found[0].hex() == exact_gain(table, covered, found).hex()
+@given(tables=table_batches(), data=st.data())
+def test_induce_rules_batch_matches_oracle(tables, data):
+    g_min = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=len(tables), max_size=len(tables)))
+    for prune in (True, False):
+        got = induce_rules_batch(tables, g_min, seeds, prune=prune)
+        assert got == [
+            oracle_induce_rules(table, g_min, seed=seed, prune=prune)
+            for table, seed in zip(tables, seeds)
+        ]
+        assert induce_rules_batch(tables[::-1], g_min, seeds[::-1], prune=prune) == got[::-1]
+
+
+@BOUNDED
+@given(size=st.integers(2, 4), data=st.data())
+def test_best_condition_matches_oracle_bitwise(size, data):
+    # several tables' covered masks in one segmented step
+    tables = data.draw(st.lists(duration_tables(size=size), min_size=1, max_size=4))
+    covered = [
+        np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))), dtype=bool)
+        for t in tables
+    ]
+    for table, cov, found in zip(tables, covered, segmented_best(tables, covered)):
+        durations, labels = table.durations, table.labels
+        expected = oracle_best_condition(
+            durations[cov], labels[cov], np.ones(int(cov.sum()), dtype=bool), table.names
+        )
+        assert found == expected
+        if found is not None:
+            assert found[0].hex() == exact_gain(table, cov, found).hex()
 
 
 def test_winning_gain_is_math_log2_where_numpy_differs():
@@ -260,7 +341,10 @@ def test_winning_gain_is_math_log2_where_numpy_differs():
     durations = np.zeros((n_rows, 1))
     durations[p + n :] = 1.0
     covered = np.ones(n_rows, dtype=bool)
-    found = _best_condition(durations, labels, _presort(durations, labels), covered, ("A->B",))
+    table = DurationTable(
+        multiset=("A", "B"), sids=tuple(map(str, range(n_rows))), durations=durations, labels=labels
+    )
+    (found,) = segmented_best([table], [covered])
     expected = p * (math.log2(p / (p + n)) - math.log2(p / n_rows))
     assert found == (expected, p, 0, _LE, 0.0)
     assert found[0].hex() == expected.hex()
@@ -280,7 +364,7 @@ def test_split_keeps_one_sequence_of_each_class_for_growing():
     )
     active = np.ones(len(table), dtype=bool)
     for seed in range(8):
-        grow, prune = _split_rows(_sid_ranks(table), labels, active, random.Random(seed))
+        grow, prune = _split_rows(table.seq_index, labels, active, random.Random(seed))
         expected = oracle_split_rows(table.sids, labels, active, random.Random(seed))
         assert (grow == expected[0]).all() and (prune == expected[1]).all()
         assert (grow & labels).any() and (grow & ~labels).any()
@@ -291,14 +375,17 @@ def test_array_log_only_shortlists(monkeypatch):
     # 1 negative, out of 4 and 5: the gains are equal in exact arithmetic,
     # and with math.log2 column 0's is 1 ulp larger.  An array log2 that is
     # off in its last bits reverses that order; the winner must not change.
-    durations = np.ones((9, 2))
+    # Column 2 holds one value, so it has no candidate.
+    durations = np.ones((9, 3))
     durations[0, 0] = 0.0
     durations[[0, 1, 4], 1] = 0.0
     labels = np.arange(9) < 4
     covered = np.ones(9, dtype=bool)
-    names = ("A->B", "A->C")
-    expected = oracle_best_condition(durations, labels, covered, names)
+    table = DurationTable(
+        multiset=("A", "B", "C"), sids=tuple(map(str, range(9))), durations=durations, labels=labels
+    )
+    expected = oracle_best_condition(durations, labels, covered, table.names)
     assert expected[1:] == (1, 0, _LE, 0.0)
     off_by_bits = SimpleNamespace(**{**vars(np), "log2": lambda x: np.log2(x) * (1 - 1e-13)})
     monkeypatch.setattr(rules, "np", off_by_bits)
-    assert _best_condition(durations, labels, _presort(durations, labels), covered, names) == expected
+    assert segmented_best([table], [covered]) == [expected]

@@ -3,6 +3,7 @@ output is known without knowing the output."""
 
 import random
 import string
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given
@@ -20,6 +21,8 @@ from chronomine import (
     SyntheticSpec,
     dcm,
     generate_synthetic,
+    is_discriminant,
+    reevaluate,
 )
 from chronomine.io import render
 
@@ -146,3 +149,66 @@ def test_order_preserving_rename_renames_output(seed, n_seqs, sigma_min, g_min):
         random_sequence(rng, sid=f"s{k}", label="+" if k % 2 else "-") for k in range(n_seqs)
     )
     _assert_rename_invariant(dataset, DcmConfig(sigma_min=sigma_min, g_min=g_min), rng)
+
+
+def _assert_duplication_doubles_supports(dataset, config):
+    # a copy of every sequence under a new sid, and twice the absolute
+    # support threshold: every multiset's supports double, so the same
+    # multisets are frequent and take the shortcut, with the same growth
+    # rates.  The learner's grow/prune split draws over twice as many
+    # sequences, so its rules may differ; they must still be discriminant.
+    doubled = SequenceDataset.from_sequences(
+        [*dataset.sequences]
+        + [Sequence(sid=f"{s.sid}-copy", events=s.events, label=s.label) for s in dataset.sequences]
+    )
+    doubled_config = replace(config, sigma_min=2 * config.sigma_min)
+    sigma = doubled_config.resolve_sigma(len(doubled.positives))
+    expected = [
+        MinedChronicle(chronicle=m.chronicle, supp_pos=2 * m.supp_pos, supp_neg=2 * m.supp_neg)
+        for m in dcm(dataset, config)
+        if not m.chronicle.constraints
+    ]
+    results = dcm(doubled, doubled_config)
+    shortcut = [m for m in results if not m.chronicle.constraints]
+    assert shortcut == expected
+    assert [m.growth_rate for m in shortcut] == [
+        m.supp_pos / m.supp_neg if m.supp_neg else float("inf") for m in expected
+    ]
+    learned = [m for m in results if m.chronicle.constraints]
+    for mined in learned:
+        assert reevaluate(mined.chronicle, doubled) == mined
+        assert is_discriminant(mined, sigma, config.g_min)
+    return learned
+
+
+def test_duplicating_sequences_doubles_planted_supports():
+    spec = SyntheticSpec(
+        n_pos=100,
+        n_neg=100,
+        patterns=(
+            PlantedPattern(Chronicle.build(("A", "B"), [(0, 1, 10, 20)]), 0.8, 0.05),
+            PlantedPattern(Chronicle.build(("A", "B"), [(0, 1, 40, 80)]), 0.0, 0.75),
+        ),
+        noise_types=("N1", "N2", "N3"),
+        noise_events=4,
+        horizon=90.0,
+    )
+    learned = _assert_duplication_doubles_supports(
+        generate_synthetic(spec, seed=5), DcmConfig(sigma_min=5, g_min=2.0)
+    )
+    assert learned  # the learner ran on the doubled dataset
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_seqs=st.integers(4, 14),
+    sigma_min=st.sampled_from([1, 2]),
+    g_min=st.sampled_from([1.0, 1.5, 2.0]),
+)
+def test_duplicating_sequences_doubles_supports(seed, n_seqs, sigma_min, g_min):
+    rng = random.Random(seed)
+    dataset = SequenceDataset.from_sequences(
+        random_sequence(rng, sid=f"s{k}", label="+" if k % 2 else "-") for k in range(n_seqs)
+    )
+    _assert_duplication_doubles_supports(dataset, DcmConfig(sigma_min=sigma_min, g_min=g_min))

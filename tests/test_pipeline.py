@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import chronomine.pipeline as pipeline
 from chronomine import (
     Chronicle,
     DcmConfig,
@@ -187,6 +188,39 @@ class TestDcm:
         monkeypatch.setenv("CHRONOMINE_THREADS", "2")
         parallel = dcm(ds, cfg)
         assert parallel == sequential
+
+    def test_batch_bounds_and_pool_slices_leave_output_unchanged(self, monkeypatch):
+        # 90 learned multisets: more than one batch of tables, and more
+        # than the pool's 2 * SLICES_PER_WORKER slices
+        ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
+        cfg = DcmConfig(sigma_min=0.05, g_min=2.0)
+        batches = []
+        learn = pipeline.induce_rules_batch
+
+        def counted(tables, *args, **kwargs):
+            batches.append(len(tables))
+            if len(tables) > 1:
+                assert sum(table.durations.size for table in tables) <= pipeline.BATCH_CELLS
+            return learn(tables, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "induce_rules_batch", counted)
+        default = dcm(ds, cfg)
+        learned = sum(batches)
+        assert learned > pipeline.BATCH_TABLES
+        assert learned > 2 * pipeline.SLICES_PER_WORKER
+        assert len(batches) > 1
+
+        for tables, cells in [(1, 1), (5, 10**9), (pipeline.BATCH_TABLES, 40)]:
+            batches.clear()
+            monkeypatch.setattr(pipeline, "BATCH_TABLES", tables)
+            monkeypatch.setattr(pipeline, "BATCH_CELLS", cells)
+            assert dcm(ds, cfg) == default
+            assert sum(batches) == learned and max(batches) <= tables
+        assert batches.count(1) < len(batches)  # the cell bound mixes sizes
+        monkeypatch.undo()
+
+        monkeypatch.setenv("CHRONOMINE_THREADS", "2")
+        assert dcm(ds, cfg) == default
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count_warns_and_runs_sequentially(self, monkeypatch, value):
