@@ -7,18 +7,21 @@ tables.  Every candidate is re-scored at sequence level before emission, so
 the output contract is simple: every returned chronicle is discriminant at
 the configured thresholds.
 
-Each run indexes the dataset's event types once (``TypeIndex``).  The
-index gives the constraint-free supports, and ``dcm`` applies the
-shortcut itself: only the multisets that are not discriminant alone go on
-to learning.  Their duration tables are built in order and learned in
+Each run indexes the dataset's event types once (``TypeIndex``).  The index
+gives the constraint-free supports, and ``dcm`` applies the shortcut
+itself: only the multisets that are not discriminant alone go on to
+learning.  Their duration tables are built in order and learned in
 batches, flushed at ``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells:
-batching shares numpy's per-call cost among many small tables, and the
-bounds cap the memory a batch holds, with a larger table learned alone.
-Each learned chronicle is re-scored from its multiset's table, with the
-matcher only as the fallback for sequences the occurrence cap truncated.
-With ``CHRONOMINE_THREADS`` above 1, a process pool maps that learning
-over contiguous slices of the learned multisets, ``SLICES_PER_WORKER``
-per worker.
+batching shares numpy's per-call cost among many small tables, since each
+step of a covering round (the grow/prune split, each grow step, the
+pruning and the acceptance test) serves a whole batch, and the bounds cap
+the memory a batch holds, with a larger table learned alone.  Each learned
+rule is re-scored from the rows its acceptance test covered, with the
+matcher only as the fallback for sequences the occurrence cap truncated,
+and only a rule that passes both thresholds is translated into a
+chronicle.  With ``CHRONOMINE_THREADS`` above 1, a process pool maps that
+learning over contiguous slices of the learned multisets,
+``SLICES_PER_WORKER`` per worker.
 """
 
 from __future__ import annotations
@@ -34,14 +37,8 @@ from .errors import ConfigError
 from .itemsets import decode_to_multisets, encode, mine_frequent_itemsets
 from .matcher import TypeIndex
 from .model import Chronicle, MinedChronicle, SequenceDataset
-from .rules import (
-    DurationTable,
-    build_duration_table,
-    induce_rules,  # not called here: perfbench's tracer wraps this module's name
-    induce_rules_batch,
-    reevaluate,
-    translate,
-)
+from .rules import DurationTable, build_duration_table, induce_chronicles
+from .rules import induce_rules, reevaluate, translate  # not called: perfbench's tracer wraps them
 
 #: Workers that learn the multisets' constraints; unset or 1 means run
 #: sequentially.
@@ -125,12 +122,12 @@ def _learn(
     """Learn the constraints of multisets that are not discriminant alone.
 
     Their duration tables are built in order and learned in batches with
-    ``induce_rules_batch``.  A batch is learned once it holds
+    ``induce_chronicles``.  A batch is learned once it holds
     ``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells, and before a table
     that would take it past ``BATCH_CELLS`` joins it, so a larger table is
-    learned alone and right after it is built.  Each rule is then
-    re-scored at sequence level from its table and kept if it passes both
-    thresholds.
+    learned alone and right after it is built.  Each rule is re-scored at
+    sequence level from its acceptance test's cover and kept if it passes
+    both thresholds.
     """
     out: list[MinedChronicle] = []
     batch: list[DurationTable] = []
@@ -139,11 +136,7 @@ def _learn(
     def learn() -> None:
         nonlocal cells
         seeds = [_multiset_seed(config.seed, table.multiset) for table in batch]
-        for table, rules in zip(batch, induce_rules_batch(batch, config.g_min, seeds)):
-            for rule in rules:
-                mined = reevaluate(translate(rule, table.multiset), dataset, table)
-                if mined.supp_pos >= sigma and mined.growth_rate >= config.g_min:
-                    out.append(mined)
+        out.extend(induce_chronicles(batch, dataset, config.g_min, seeds, sigma))
         batch.clear()
         cells = 0
 

@@ -14,19 +14,24 @@ translates directly into a set of temporal constraints.
 The learner takes a batch of tables (``induce_rules_batch``); one table is
 a batch of one (``induce_rules``).  The tables with the same number of
 columns are stacked and their columns presorted once.  Their covering
-rounds run in lockstep, each table with its own seeded grow/prune split,
-and every grow step scores the candidate thresholds of all the tables
-still growing in a few segmented numpy calls, so a small table no longer
-pays numpy's per-call cost alone.  A batch holds all its tables at once:
-callers bound its size.
+rounds run in lockstep, and each step of a round serves all the tables
+in it with a few segmented numpy calls, over a (table, sequence) group id
+that each row gets once per batch: one grow/prune split, in which each
+table still shuffles its own sequences with its own seeded
+``random.Random``; one grow step per condition, which scores the
+candidate thresholds of every table still growing; and one pruning pass
+and one acceptance test.  So a small table no longer pays numpy's
+per-call cost alone.  A batch holds all its tables at once: callers bound
+its size.
 
-Several rows may come from one sequence, so a translated chronicle is
-re-scored at sequence level.  Given the multiset's table, ``reevaluate``
-counts the distinct positive and negative sequences among the rows the
-constraints cover: the rows and the matcher's candidates are the same
-canonical assignments, so this count is exact.  The matcher runs only on
-sequences whose enumeration hit the occurrence cap and that have no
-covered row.
+Several rows may come from one sequence, so a learned rule is re-scored
+at sequence level.  The acceptance test already holds the rows the rule
+covers, and ``induce_chronicles`` reads its supports from them: the
+distinct covered groups of each class.  The rows and the matcher's
+candidates are the same canonical assignments, so this count is exact.
+The matcher (``support``) runs only on sequences whose enumeration hit
+the occurrence cap and that have no covered row.  ``reevaluate`` counts
+a chronicle's supports with the matcher alone.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Iterable
@@ -46,8 +51,9 @@ from .model import (
     POSITIVE,
     Chronicle,
     MinedChronicle,
+    Sequence,
     SequenceDataset,
-    TemporalConstraint,
+    growth_rate,
 )
 
 #: Reduced-error pruning needs a meaningful grow/prune split; below this many
@@ -94,32 +100,38 @@ class DurationTable:
     ``dataset.sequences``, so within one class their order is sid order
     (numbered in sid order when not given), and
     ``capped`` lists the positions of the sequences whose enumeration hit
-    the occurrence cap, so their rows are incomplete.
+    the occurrence cap, so their rows are incomplete.  ``sids`` names each
+    row's sequence; passed as None, it is read on first use from
+    ``sequences``, the dataset's sequences, at ``seq_index``.
     """
 
     multiset: tuple[str, ...]
-    sids: tuple[str, ...]
+    sids: InitVar[tuple[str, ...] | None]
     durations: np.ndarray
     labels: np.ndarray
     seq_index: np.ndarray | None = None
     capped: tuple[int, ...] = ()
+    sequences: tuple[Sequence, ...] = field(default=(), repr=False)
     pairs: tuple[tuple[int, int], ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, sids):
         self.pairs = pair_attributes(self.multiset)
-        self.durations = np.asarray(self.durations, dtype=float).reshape(
-            len(self.sids), len(self.pairs)
-        )
-        self.labels = np.asarray(self.labels, dtype=bool).reshape(len(self.sids))
+        self._sids = None if sids is None else tuple(sids)
+        rows = len(self._sids) if self.seq_index is None else np.size(self.seq_index)
+        self.durations = np.asarray(self.durations, dtype=float).reshape(rows, len(self.pairs))
+        self.labels = np.asarray(self.labels, dtype=bool).reshape(rows)
         if self.seq_index is None:
-            rank = {sid: k for k, sid in enumerate(sorted(set(self.sids)))}
-            self.seq_index = np.fromiter(
-                (rank[sid] for sid in self.sids), dtype=np.int64, count=len(self.sids)
-            )
-        self.seq_index = np.asarray(self.seq_index).reshape(len(self.sids))
+            rank = {sid: k for k, sid in enumerate(sorted(set(self._sids)))}
+            self.seq_index = np.array([rank[sid] for sid in self._sids], dtype=np.int64)
+        self.seq_index = np.asarray(self.seq_index).reshape(rows)
 
     def __len__(self) -> int:
-        return len(self.sids)
+        return len(self.labels)
+
+    def _row_sids(self) -> tuple[str, ...]:
+        if self._sids is None:
+            self._sids = tuple(self.sequences[k].sid for k in self.seq_index.tolist())
+        return self._sids
 
     @property
     def truncated(self) -> bool:
@@ -139,6 +151,10 @@ class DurationTable:
             writer.writerow(["sid", *self.names, "label"])
             for sid, row, lab in zip(self.sids, self.durations, self.labels):
                 writer.writerow([sid, *(repr(v) for v in row), "+" if lab else "-"])
+
+
+# a property, not a field, so that ``sids`` stays the constructor's second argument
+DurationTable.sids = property(DurationTable._row_sids, doc="Each row's sequence id.")
 
 
 #: Row count standing for "more than any table can hold" when no cap applies.
@@ -262,30 +278,17 @@ def build_duration_table(
             event = first[:, None] + table[offset[seq_of_row] + digit]
             stamps[:, col : col + k] = index.stamps[etype][event]
 
-    sids = np.array([index.sequences[k].sid for k in held.tolist()], dtype=object)
     seq_index = np.repeat(held.astype(np.int32), counts)
     first, second = np.asarray(pair_attributes(multiset)).T
     return DurationTable(
         multiset=multiset,
-        sids=tuple(sids[seq_of_row].tolist()),
+        sids=None,
         durations=stamps[:, second] - stamps[:, first],
         labels=seq_index < index.n_pos,
         seq_index=seq_index,
         capped=capped,
+        sequences=index.sequences,
     )
-
-
-def _covers(
-    conditions: Iterable[tuple[int, int, float, float]], table: DurationTable
-) -> np.ndarray:
-    """Boolean row mask of the table rows with lo <= t[j] - t[i] <= hi for
-    every (i, j, lo, hi) condition, the same comparison the matcher makes."""
-    mask = np.ones(len(table), dtype=bool)
-    index = {pair: col for col, pair in enumerate(table.pairs)}
-    for i, j, lo, hi in conditions:
-        col = table.durations[:, index[(i, j)]]
-        mask &= (col >= lo) & (col <= hi)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -307,8 +310,13 @@ class NumericalRule:
         object.__setattr__(self, "conditions", conds)
 
     def covers_mask(self, table: DurationTable) -> np.ndarray:
-        """Boolean row mask of the table rows satisfying every condition."""
-        return _covers(self.conditions, table)
+        """Boolean row mask of the table rows with lo <= t[j] - t[i] <= hi
+        for every (i, j, lo, hi) condition, the comparison the matcher makes."""
+        mask = np.ones(len(table), dtype=bool)
+        for i, j, lo, hi in self.conditions:
+            col = table.durations[:, table.pairs.index((i, j))]
+            mask &= (col >= lo) & (col <= hi)
+        return mask
 
 
 def row_growth(rule: NumericalRule, table: DurationTable) -> float:
@@ -350,6 +358,14 @@ class _Batch:
     reads a working set of tables, rebuilt when the tables it serves hold
     at most half of the set's rows; a table outside the step covers no row,
     so it adds nothing to the filtered arrays.
+
+    The rest of a covering round also serves all the tables at once.  Row
+    ``r`` belongs to table ``row_table[r]`` and to group ``gid[r]``, the
+    rows of one sequence of one class in one table.  Groups are numbered
+    table by table, positives first, in sequence order; ``group_seq`` holds
+    each group's sequence and ``group_seg`` its (table, class) segment, 2t
+    for table t's positives and 2t + 1 for its negatives, whose groups
+    start at ``seg_start``.
     """
 
     def __init__(self, tables: list[DurationTable]):
@@ -358,41 +374,185 @@ class _Batch:
         lengths = [len(table) for table in tables]
         self.stop = np.cumsum(lengths).tolist()
         self.start = [stop - n for stop, n in zip(self.stop, lengths)]
-        order = []
-        for table, start in zip(tables, self.start):
-            by_label = np.argsort(table.labels, kind="stable")
-            rank = np.argsort(table.durations[by_label].T, axis=1, kind="stable")
-            rows = by_label[rank]
-            del rank
-            rows += start
-            order.append(rows)
         if len(tables) == 1:
-            self.values, self.labels, self.order = tables[0].durations, tables[0].labels, order[0]
+            self.values, self.labels = tables[0].durations, tables[0].labels
         else:
             self.values = np.concatenate([table.durations for table in tables])
             self.labels = np.concatenate([table.labels for table in tables])
-            self.order = np.concatenate(order, axis=1)
+        order = []
+        for table, start in zip(tables, self.start):
+            by_label = np.argsort(table.labels, kind="stable")
+            rows = by_label[np.argsort(table.durations[by_label].T, axis=1, kind="stable")]
+            rows += start
+            order.append(rows)
+        self.order = order[0] if len(tables) == 1 else np.concatenate(order, axis=1)
+        self.row_table = np.repeat(np.arange(len(tables)), lengths)
         # the values in memory order, with no copy of a table's C- or
         # F-ordered durations: row r, column c is cell r * steps[0] + c * steps[1]
         if not (self.values.flags.c_contiguous or self.values.flags.f_contiguous):
             self.values = np.ascontiguousarray(self.values)
         self._cells = self.values.ravel(order="K")
         steps = [stride // self.values.itemsize for stride in self.values.strides]
-        self._row_step = steps[0]
+        self._row_step, self._column_step = steps
         self._column_cells = np.arange(self.width)[:, None] * steps[1]
         self.covered = np.zeros(len(self.labels), dtype=bool)
         self._work = list(range(len(tables)))
         self._work_order = self.order.ravel()
 
+        seq = np.concatenate([table.seq_index for table in tables]).astype(np.int64)
+        n_seq = int(seq.max(initial=0)) + 1
+        key = (2 * self.row_table + ~self.labels) * n_seq + seq  # (segment, sequence)
+        key, self.gid = np.unique(key, return_inverse=True)
+        self.group_seg, self.group_seq = np.divmod(key, n_seq)
+        self.seg_start = np.searchsorted(self.group_seg, np.arange(2 * len(tables) + 1))
+
+    def rows_of(self, ts: list[int]):
+        """Mask of the rows of tables ``ts``; with one table, a scalar."""
+        flags = np.zeros(len(self.start), dtype=bool)
+        flags[ts] = True
+        return self.per_row(flags)
+
+    def per_row(self, x: np.ndarray, tables: np.ndarray | None = None):
+        """The entries of the per-table array ``x`` (tables on the last
+        axis) for each row, or for each of the given rows' ``tables``; with
+        one table, the table's entry, which broadcasts."""
+        if x.shape[-1] == 1:
+            return x[..., 0] if x.ndim == 1 else x[..., :1]
+        return x.take(self.row_table if tables is None else tables, axis=-1)
+
     def cover(self, t: int, rows: np.ndarray | None) -> None:
         """Cover the rows of table ``t`` in the ``rows`` mask; None covers none."""
         self.covered[self.start[t] : self.stop[t]] = False if rows is None else rows
+
+    def per_table(self, rows: np.ndarray) -> np.ndarray:
+        """Each table's count of the rows in the ``rows`` mask."""
+        return np.add.reduceat(rows, self.start, dtype=np.intp)
+
+    def _within(self, ts: list[int], bounds: np.ndarray) -> np.ndarray:
+        """The rows of tables ``ts`` whose value in each column c lies in
+        the interval ``bounds[:, c, t]`` (low, high) of their table t."""
+        inside = np.broadcast_to(self.rows_of(ts), self.labels.shape).copy()
+        for values, lo, hi in zip(self.values.T, *bounds):
+            if (lo > -math.inf).any():
+                inside &= values >= self.per_row(lo)
+            if (hi < math.inf).any():
+                inside &= values <= self.per_row(hi)
+        return inside
 
     def restrict(self, t: int, column: int, direction: int, threshold: float) -> None:
         """Uncover the rows of table ``t`` that fail a threshold condition."""
         values = self.values[self.start[t] : self.stop[t], column]
         keep = values <= threshold if direction == _LE else values >= threshold
         self.covered[self.start[t] : self.stop[t]] &= keep
+
+    def split(self, ts: list[int], active: np.ndarray, rngs: list[random.Random]) -> np.ndarray:
+        """Grow/prune split of the ``active`` rows of tables ``ts``; returns
+        the prune rows.
+
+        Each table's split is stratified by label and keeps whole sequences
+        on one side.  Table ``t`` shuffles its active positive, then
+        negative sequences, each list in sid order, with ``rngs[t]``, and a
+        class sends its shuffled sequences to the prune side until they hold
+        ``PRUNE_FRACTION`` of its active rows, keeping the last one for
+        growing.  A table with a class of fewer than
+        ``MIN_ROWS_FOR_PRUNING`` active rows or one sequence gets no prune
+        rows (it still drew the positives' shuffle when only its negatives
+        fall short).  The rows are counted per group with one bincount, and
+        one prefix sum over every drawn list marks the prune groups.
+        """
+        counts = np.bincount(self.gid.compress(active), minlength=len(self.group_seq))
+        rows = np.bincount(self.group_seg, counts, 2 * len(self.start)).astype(np.intp).tolist()
+        present = counts.nonzero()[0]
+        at = np.searchsorted(present, self.seg_start).tolist()
+        present = present.tolist()
+        drawn = []  # (shuffled groups, prune target) of each class of the tables that split
+        for t in ts:
+            classes = []
+            for s in (2 * t, 2 * t + 1):
+                groups = present[at[s] : at[s + 1]]
+                if rows[s] < MIN_ROWS_FOR_PRUNING or len(groups) < 2:
+                    break
+                rngs[t].shuffle(groups)
+                classes.append((groups, rows[s] * PRUNE_FRACTION))
+            else:
+                drawn += classes
+        prune = np.zeros(len(counts), dtype=bool)
+        if drawn:
+            groups = np.concatenate([groups for groups, _ in drawn])
+            sizes = [len(groups) for groups, _ in drawn]
+            ends = np.cumsum(sizes)
+            taken = counts[groups]
+            before = np.cumsum(taken) - taken  # rows drawn ahead, then ahead within the class
+            before -= np.repeat(before[ends - sizes], sizes)
+            chosen = before < np.repeat([target for _, target in drawn], sizes)
+            chosen[ends - 1] = False
+            prune[groups[chosen]] = True
+        return active & prune.take(self.gid)
+
+    def accept(
+        self, ts: list[int], conditions: dict[int, list], prune: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Reduced-error pruning of the rules grown for tables ``ts``, and
+        the rows the pruned rules cover.
+
+        ``conditions[t]`` lists table ``t``'s grown (column, direction,
+        threshold) conditions and ``prune`` marks the prune rows.  Pruning
+        drops final conditions while (p - n) / (p + n) over the prune rows
+        covered does not decrease (-1 when none is), never below one
+        condition; a table with no prune row keeps all.  One pass counts,
+        for every prune row, how many leading conditions of its table it
+        meets: the first k conditions cover the rows with a count of at
+        least k.  So a table keeps the largest k for which the first k
+        conditions score above the first k - 1, or one.  The kept
+        conditions on one column intersect into an interval, as in the
+        rule they form.  Returns how many conditions each table keeps, the
+        intervals, ``bounds[:, c, t]`` (low, high) for column c of table t,
+        which constrain where ``used[c, t]``, and the rows they cover.
+        """
+        n_tables = len(self.start)
+        flat = [(t, k, *c) for t in ts for k, c in enumerate(conditions[t])]
+        flat = np.array(flat, dtype=float).reshape(-1, 5).T
+        table, order, column, direction = flat[:4].astype(np.intp)
+        threshold = flat[4]
+        side = 1 - direction  # which end of its interval a condition bounds
+        keep = np.bincount(table, minlength=n_tables)
+        longest = int(keep.max(initial=0))
+        if prune is not None and longest > 1:
+            rows = prune.nonzero()[0]
+            tab = self.row_table.take(rows)
+            # condition k of table t: column[k, t] within bounds[:, k, t];
+            # the padding (-inf, inf) holds for every row
+            bounds = np.full((2, longest, n_tables), [[[-math.inf]], [[math.inf]]])
+            bounds[side, order, table] = threshold
+            columns = np.zeros((longest, n_tables), dtype=np.intp)
+            columns[order, table] = column
+            cells = self.per_row(columns * self._column_step, tab) + rows * self._row_step
+            values = self._cells.take(cells)
+            lo, hi = self.per_row(bounds, tab)
+            meets = np.logical_and.accumulate((values >= lo) & (values <= hi), axis=0)
+            lead = meets.sum(axis=0)
+            # prune rows meeting at least k conditions, for k = 0 .. longest
+            cell = tab * (longest + 1) + lead
+            tot, pos = (
+                np.bincount(c, minlength=n_tables * (longest + 1)).reshape(n_tables, -1)
+                for c in (cell, cell.compress(self.labels.take(rows)))
+            )
+            tot, pos = (x[:, ::-1].cumsum(axis=1)[:, ::-1] for x in (tot, pos))
+            value = np.full(tot.shape, -1.0)
+            np.divide(2 * pos - tot, tot, out=value, where=tot > 0)
+            k = np.arange(1, longest + 1)
+            gains = (k == 1) | (value[:, :-1] < value[:, 1:])
+            last = np.where(gains & (k <= keep[:, None]), k, 0).max(axis=1)
+            keep = np.where((keep > 1) & (tot[:, 0] > 0), last, keep)
+        kept = order < keep.take(table)
+        table, column, side, threshold = table[kept], column[kept], side[kept], threshold[kept]
+        bounds = np.full((2, self.width, n_tables), [[[-math.inf]], [[math.inf]]])
+        low = side == 0
+        np.maximum.at(bounds[0], (column[low], table[low]), threshold[low])
+        np.minimum.at(bounds[1], (column[~low], table[~low]), threshold[~low])
+        used = np.zeros((self.width, n_tables), dtype=bool)
+        used[column, table] = True
+        return keep, bounds, used, self._within(ts, bounds)
 
     def best(
         self, ts: list[int], p0: list[int], n0: list[int]
@@ -519,182 +679,100 @@ class _Batch:
         return found
 
 
-def _condition_masks(
-    durations: np.ndarray, conditions: list[tuple[int, int, float]]
-) -> np.ndarray:
-    masks = np.ones((len(conditions), len(durations)), dtype=bool)
-    for row, (col, direction, threshold) in enumerate(conditions):
-        if direction == _LE:
-            masks[row] = durations[:, col] <= threshold
-        else:
-            masks[row] = durations[:, col] >= threshold
-    return masks
+def _cover(
+    tables: list[DurationTable], g_min: float, seeds: list[int], prune: bool
+) -> list[list[tuple]]:
+    """Sequential covering of tables with the same columns, in lockstep.
 
+    A round draws every table's grow/prune split (``_Batch.split``), grows
+    a rule for each table that has positive and negative grow rows (one
+    ``_Batch.best`` step per condition for all of them), then prunes them
+    and takes their covers (``_Batch.accept``).  A table keeps its rule if
+    it reaches ``g_min`` on the whole table (it always covers a positive
+    row not yet covered); an all-positive table keeps the empty rule.  A
+    table goes on to another round while it has uncovered positive rows.
+    The supports of the rules kept in a round are the covered groups per
+    class, counted with one bincount.
 
-def _prune(
-    conditions: list[tuple[int, int, float]],
-    durations: np.ndarray,
-    labels: np.ndarray,
-) -> list[tuple[int, int, float]]:
-    """Reduced-error pruning: drop final conditions while (p - n) / (p + n)
-    on the prune rows does not decrease.  Never prunes below one condition."""
-    if len(conditions) <= 1 or len(labels) == 0:
-        return conditions
-
-    masks = _condition_masks(durations, conditions)
-    prefix_cover = np.logical_and.accumulate(masks, axis=0)
-
-    def value(k: int) -> float:
-        cov = prefix_cover[k - 1]
-        p = int(np.count_nonzero(cov & labels))
-        n = int(np.count_nonzero(cov & ~labels))
-        if p + n == 0:
-            return -1.0
-        return (p - n) / (p + n)
-
-    keep = len(conditions)
-    best = value(keep)
-    while keep > 1 and value(keep - 1) >= best:
-        keep -= 1
-        best = value(keep)
-    return conditions[:keep]
-
-
-def _merge_conditions(
-    conditions: list[tuple[int, int, float]], pairs: tuple[tuple[int, int], ...]
-) -> NumericalRule:
-    intervals: dict[tuple[int, int], list[float]] = {}
-    for col, direction, threshold in conditions:
-        lo, hi = intervals.setdefault(pairs[col], [-math.inf, math.inf])
-        if direction == _LE:
-            intervals[pairs[col]][1] = min(hi, threshold)
-        else:
-            intervals[pairs[col]][0] = max(lo, threshold)
-    return NumericalRule(
-        conditions=tuple((i, j, lo, hi) for (i, j), (lo, hi) in intervals.items())
-    )
-
-
-def _split_rows(
-    seq_index: np.ndarray,
-    labels: np.ndarray,
-    active: np.ndarray,
-    rng: random.Random,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Grow/prune split of the active rows, stratified by label with whole
-    sequences kept on one side.  Returns None when either class is too small
-    to split meaningfully.
-
-    ``seq_index`` is the table's: within one class, the order of sequence
-    positions is sid order.  Rows are counted per sequence with one
-    bincount; the sequences present come out in sid order, are shuffled,
-    and the chosen ones are marked in a boolean array indexed by position.
+    Returns each table's rules, each as its (i, j, lower, upper)
+    conditions, the numbers of positive and negative sequences whose rows
+    it covers, and the capped sequences with no covered row.
     """
-    grow = active.copy()
-    prune = np.zeros_like(active)
-    for in_class in (labels, ~labels):
-        rows = (active & in_class).nonzero()[0]
-        seqs = seq_index[rows]
-        counts = np.bincount(seqs)
-        class_seqs = counts.nonzero()[0].tolist()
-        if len(rows) < MIN_ROWS_FOR_PRUNING or len(class_seqs) < 2:
-            return None
-        rng.shuffle(class_seqs)
-        target = len(rows) * PRUNE_FRACTION
-        taken = 0
-        chosen = np.zeros(len(counts), dtype=bool)
-        for k in class_seqs[:-1]:  # at least one sequence stays in the grow set
-            if taken >= target:
-                break
-            chosen[k] = True
-            taken += int(counts[k])
-        in_prune = rows[chosen[seqs]]
-        grow[in_prune] = False
-        prune[in_prune] = True
-    return grow, prune
-
-
-class _Covering:
-    """Sequential covering of one table: its split draws, the positive rows
-    not yet covered, the rules accepted (appended to ``rules``), and the
-    rule of the current round."""
-
-    def __init__(
-        self, table: DurationTable, seed: int, prune: bool, rules: list[NumericalRule]
-    ):
-        self.table = table
-        self.rng = random.Random(seed) if prune else None
-        self.remaining = table.labels.copy()  # positive rows not yet covered
-        self.rules = rules
-
-    def start_round(self) -> np.ndarray:
-        """Split the rows still in play; returns the grow mask and sets the
-        counts of the positive and negative rows it covers."""
-        labels = self.table.labels
-        active = self.remaining | ~labels
-        split = None
-        if self.rng is not None:
-            split = _split_rows(self.table.seq_index, labels, active, self.rng)
-        grow, self.prune_rows = (active, None) if split is None else split
-        self.conditions: list[tuple[int, int, float]] = []
-        self.p0 = int(np.count_nonzero(grow & labels))
-        self.n0 = int(np.count_nonzero(grow)) - self.p0
-        return grow
-
-    def finish_round(self, g_min: float) -> bool:
-        """Prune the grown rule and keep it if it reaches ``g_min`` on the
-        whole table and covers a new positive row; whether to go on."""
-        conditions = self.conditions
-        if not conditions:
-            return False
-        table = self.table
-        labels = table.labels
-        if self.prune_rows is not None:
-            rows = self.prune_rows
-            conditions = _prune(conditions, table.durations[rows], labels[rows])
-        rule = _merge_conditions(conditions, table.pairs)
-        mask = rule.covers_mask(table)
-        p_full = int(np.count_nonzero(mask & labels))
-        n_full = int(np.count_nonzero(mask)) - p_full
-        growth = math.inf if n_full == 0 else p_full / n_full
-        if p_full == 0 or growth < g_min or not (mask & self.remaining).any():
-            return False
-        self.rules.append(rule)
-        self.remaining &= ~mask
-        return bool(self.remaining.any())
-
-
-def _cover(states: list[_Covering], g_min: float) -> None:
-    """Run the covering rounds of tables with the same columns in lockstep."""
-    batch = _Batch([state.table for state in states])
-    covering = list(range(len(states)))
+    batch = _Batch(tables)
+    labels, n_tables = batch.labels, len(tables)
+    rngs = [random.Random(seed) for seed in seeds]
+    only_positive = (batch.per_table(~labels) == 0).tolist()
+    remaining = labels.copy()  # positive rows not yet covered
+    found: list[list[tuple]] = [[] for _ in tables]
+    covering = list(range(n_tables))
     while covering:
-        growing = []
-        for t in covering:
-            grow = states[t].start_round()
-            if states[t].p0 and states[t].n0:
-                batch.cover(t, grow)
-                growing.append(t)
+        active = (remaining | ~labels) & batch.rows_of(covering)
+        prune_rows = batch.split(covering, active, rngs) if prune else None
+        grow = active if prune_rows is None else active & ~prune_rows
+        p0 = batch.per_table(grow & labels).tolist()
+        n0 = (batch.per_table(grow) - p0).tolist()
+        conditions: dict[int, list] = {t: [] for t in covering}
+        growing = [t for t in covering if p0[t] and n0[t]]
+        batch.covered = grow & batch.rows_of(growing)
         while growing:
-            found = batch.best(
-                growing, [states[t].p0 for t in growing], [states[t].n0 for t in growing]
-            )
             still = []
-            for t, best in zip(growing, found):
-                if best is None:
-                    batch.cover(t, None)
-                    continue
-                _, p1, n1, column, direction, threshold = best
-                state = states[t]
-                state.conditions.append((column, direction, threshold))
-                state.p0, state.n0 = p1, n1
-                if n1:
-                    batch.restrict(t, column, direction, threshold)
+            step = batch.best(growing, [p0[t] for t in growing], [n0[t] for t in growing])
+            for t, best in zip(growing, step):
+                if best is not None:
+                    _, p0[t], n0[t], *condition = best
+                    conditions[t].append(condition)
+                if best is not None and n0[t]:
+                    batch.restrict(t, *condition)
                     still.append(t)
                 else:
                     batch.cover(t, None)
             growing = still
-        covering = [t for t in covering if states[t].finish_round(g_min)]
+
+        ts = [t for t in covering if conditions[t] or only_positive[t]]
+        if not ts:
+            break
+        _, bounds, used, covered = batch.accept(ts, conditions, prune_rows)
+        # a rule covers an uncovered positive row: the positive grow rows
+        # its last condition kept, which pruning and the whole table widen
+        p_full = batch.per_table(covered & labels).tolist()
+        n_full = (batch.per_table(covered) - p_full).tolist()
+        covering = [t for t in ts if growth_rate(p_full[t], n_full[t]) >= g_min]
+        remaining &= ~covered  # a table that keeps no rule stops here
+        seen = np.zeros(len(batch.group_seq), dtype=bool)
+        seen[batch.gid.compress(covered)] = True
+        supports = np.bincount(batch.group_seg.compress(seen), minlength=2 * n_tables).tolist()
+        (low, high), used = bounds.tolist(), used.T.tolist()
+        for t in covering:
+            groups = slice(batch.seg_start[2 * t], batch.seg_start[2 * t + 2])
+            hit = set(batch.group_seq[groups][seen[groups]].tolist()) if tables[t].capped else ()
+            unresolved = tuple(k for k in tables[t].capped if k not in hit)
+            rule = tuple(
+                (*pair, low[c][t], high[c][t])
+                for c, pair in enumerate(tables[t].pairs)
+                if used[t][c]
+            )
+            found[t].append((rule, supports[2 * t], supports[2 * t + 1], unresolved))
+        left = batch.per_table(remaining).tolist()
+        covering = [t for t in covering if left[t]]
+    return found
+
+
+def _induce(
+    tables: list[DurationTable], g_min: float, seeds: list[int], prune: bool
+) -> list[list[tuple]]:
+    """Each table's rules as ``_cover`` returns them, the tables learned in
+    one ``_cover`` per column count; a table with no positive row learns
+    none."""
+    found: list[list[tuple]] = [[] for _ in tables]
+    by_width: dict[int, list[int]] = {}
+    for k, table in enumerate(tables):
+        if table.labels.any():
+            by_width.setdefault(len(table.pairs), []).append(k)
+    for ks in by_width.values():
+        learned = _cover([tables[k] for k in ks], g_min, [seeds[k] for k in ks], prune)
+        for k, rules in zip(ks, learned):
+            found[k] = rules
+    return found
 
 
 def induce_rules_batch(
@@ -707,25 +785,52 @@ def induce_rules_batch(
     same as it gets alone with its seed.
 
     The tables with the same number of columns form one ``_Batch``, whose
-    columns are presorted once.  Its covering rounds run in lockstep: each
-    table draws its own grow/prune split, then every table that still grows
-    takes its next condition from one segmented ``_Batch.best`` step, until
-    none grows; pruning and the acceptance test stay per table.  So a grow
-    step costs a few numpy calls for the whole batch, not a few per table.
-    The arrays hold all the tables at once, so callers bound how many.
+    columns are presorted once.  Its covering rounds run in lockstep: one
+    grow/prune split for all its tables, one segmented ``_Batch.best`` step
+    per condition for every table that still grows, and one pruning pass
+    and one acceptance test for all of them.  So a round costs a few numpy
+    calls for the whole batch, not a few per table.  The arrays hold all
+    the tables at once, so callers bound how many.
+    """
+    found = _induce(list(tables), g_min, list(seeds), prune)
+    return [[NumericalRule(rule) for rule, *_ in rules] for rules in found]
+
+
+def induce_chronicles(
+    tables: Iterable[DurationTable],
+    dataset: SequenceDataset,
+    g_min: float,
+    seeds: Iterable[int],
+    sigma: int,
+) -> list[MinedChronicle]:
+    """The discriminant chronicles among the tables' rules, as
+    ``induce_rules_batch`` learns them with pruning: those with positive
+    support at least ``sigma`` and growth rate at least ``g_min`` at
+    sequence level, in table order.  The tables must be built from
+    ``dataset``.
+
+    The supports are read from the acceptance test's cover: the distinct
+    covered sequences of each class, which are exactly the sequences that
+    support the translated chronicle, except that the matcher decides the
+    capped sequences that have no covered row.  So a rule without one is
+    judged before it is translated.
     """
     tables = list(tables)
-    out: list[list[NumericalRule]] = [[] for _ in tables]
-    by_width: dict[int, list[_Covering]] = {}
-    for table, seed, rules in zip(tables, seeds, out):
-        n_pos = int(np.count_nonzero(table.labels))
-        if n_pos == len(table) and n_pos:
-            rules.append(NumericalRule())
-        elif n_pos:
-            state = _Covering(table, seed, prune, rules)
-            by_width.setdefault(len(table.pairs), []).append(state)
-    for states in by_width.values():
-        _cover(states, g_min)
+    sequences = dataset.sequences
+    out = []
+    for table, found in zip(tables, _induce(tables, g_min, list(seeds), True)):
+        for rule, supp_pos, supp_neg, unresolved in found:
+            if not unresolved and (supp_pos < sigma or growth_rate(supp_pos, supp_neg) < g_min):
+                continue  # the supports are final: no need to translate
+            chronicle = translate(NumericalRule(rule), table.multiset)
+            pos = [sequences[k] for k in unresolved if sequences[k].label == POSITIVE]
+            neg = [sequences[k] for k in unresolved if sequences[k].label != POSITIVE]
+            if pos:
+                supp_pos += support(chronicle, pos)
+            if neg:
+                supp_neg += support(chronicle, neg)
+            if supp_pos >= sigma and growth_rate(supp_pos, supp_neg) >= g_min:
+                out.append(MinedChronicle(chronicle, supp_pos, supp_neg))
     return out
 
 
@@ -755,51 +860,12 @@ def translate(rule: NumericalRule, multiset: Iterable[str]) -> Chronicle:
     "item j occurs between x and y after item i"; unmentioned pairs stay
     unconstrained.
     """
-    multiset = tuple(multiset)
-    constraints = tuple(TemporalConstraint(i, j, lo, hi) for i, j, lo, hi in rule.conditions)
-    return Chronicle(items=multiset, constraints=constraints)
+    return Chronicle.build(multiset, rule.conditions)
 
 
-def _distinct(ids: np.ndarray) -> int:
-    """Number of distinct values in an integer array."""
-    # np.sort, not np.unique: unique imports numpy.ma on first use
-    ids = np.sort(ids)
-    return int(ids.size and 1 + np.count_nonzero(ids[1:] != ids[:-1]))
-
-
-def reevaluate(
-    chronicle: Chronicle, dataset: SequenceDataset, table: DurationTable | None = None
-) -> MinedChronicle:
-    """Sequence-level supports and growth rate of the chronicle.
-
-    Without a table the matcher recounts them over every sequence.  With
-    the duration table of the chronicle's multiset, built from this
-    dataset, a sequence supports the chronicle iff one of its rows is
-    covered by the constraints; the matcher decides only the capped
-    sequences that have no covered row.
-    """
-    if table is None:
-        supp_pos = support(chronicle, dataset.positives)
-        supp_neg = support(chronicle, dataset.negatives)
-        return MinedChronicle(chronicle=chronicle, supp_pos=supp_pos, supp_neg=supp_neg)
-    if chronicle.items != table.multiset:
-        raise ValueError(
-            f"table of {table.multiset} cannot score a chronicle over {chronicle.items}"
-        )
-    mask = _covers(
-        ((tc.from_index, tc.to_index, tc.lower, tc.upper) for tc in chronicle.constraints),
-        table,
-    )
-    supp_pos = _distinct(table.seq_index[mask & table.labels])
-    supp_neg = _distinct(table.seq_index[mask & ~table.labels])
-    if table.capped:
-        covered = set(table.seq_index[mask].tolist())
-        sequences = dataset.sequences
-        unresolved = [sequences[k] for k in table.capped if k not in covered]
-        pos = [s for s in unresolved if s.label == POSITIVE]
-        neg = [s for s in unresolved if s.label != POSITIVE]
-        if pos:
-            supp_pos += support(chronicle, pos)
-        if neg:
-            supp_neg += support(chronicle, neg)
+def reevaluate(chronicle: Chronicle, dataset: SequenceDataset) -> MinedChronicle:
+    """Sequence-level supports and growth rate of the chronicle, counted
+    by the matcher over every sequence."""
+    supp_pos = support(chronicle, dataset.positives)
+    supp_neg = support(chronicle, dataset.negatives)
     return MinedChronicle(chronicle=chronicle, supp_pos=supp_pos, supp_neg=supp_neg)

@@ -3,9 +3,10 @@
 The oracle below is the learner as it was before its columns were
 presorted and its gains computed in numpy, and before several tables were
 learned in one segmented batch: one table at a time, ``np.unique`` per
-column, one ``math.log2`` per label boundary, and a grow/prune split that
-counts rows per sid string.  Reduced-error pruning and rule merging are
-shared with the library.  Both learners must return identical rules.
+column, one ``math.log2`` per label boundary, a grow/prune split that
+counts rows per sid string, reduced-error pruning with one mask per
+condition, and rule merging by intervals per pair.  Both learners must
+return identical rules.
 """
 
 import math
@@ -24,9 +25,6 @@ from chronomine.rules import (
     DurationTable,
     NumericalRule,
     _Batch,
-    _merge_conditions,
-    _prune,
-    _split_rows,
     induce_rules,
     induce_rules_batch,
 )
@@ -123,6 +121,49 @@ def oracle_split_rows(sids, labels, active, rng):
     return grow, prune
 
 
+def oracle_prune(conditions, durations, labels):
+    """Reduced-error pruning: drop final conditions while (p - n) / (p + n)
+    on the prune rows does not decrease.  Never prunes below one condition."""
+    if len(conditions) <= 1 or len(labels) == 0:
+        return conditions
+
+    masks = np.ones((len(conditions), len(durations)), dtype=bool)
+    for row, (col, direction, threshold) in enumerate(conditions):
+        if direction == _LE:
+            masks[row] = durations[:, col] <= threshold
+        else:
+            masks[row] = durations[:, col] >= threshold
+    prefix_cover = np.logical_and.accumulate(masks, axis=0)
+
+    def value(k):
+        cov = prefix_cover[k - 1]
+        p = int(np.count_nonzero(cov & labels))
+        n = int(np.count_nonzero(cov & ~labels))
+        if p + n == 0:
+            return -1.0
+        return (p - n) / (p + n)
+
+    keep = len(conditions)
+    best = value(keep)
+    while keep > 1 and value(keep - 1) >= best:
+        keep -= 1
+        best = value(keep)
+    return conditions[:keep]
+
+
+def oracle_merge_conditions(conditions, pairs):
+    intervals = {}
+    for col, direction, threshold in conditions:
+        lo, hi = intervals.setdefault(pairs[col], [-math.inf, math.inf])
+        if direction == _LE:
+            intervals[pairs[col]][1] = min(hi, threshold)
+        else:
+            intervals[pairs[col]][0] = max(lo, threshold)
+    return NumericalRule(
+        conditions=tuple((i, j, lo, hi) for (i, j), (lo, hi) in intervals.items())
+    )
+
+
 def oracle_induce_rules(table, g_min, seed=0, prune=True):
     labels = table.labels
     n_pos = int(np.count_nonzero(labels))
@@ -150,8 +191,8 @@ def oracle_induce_rules(table, g_min, seed=0, prune=True):
             break
         if prune_mask is not None:
             prune_idx = np.nonzero(prune_mask)[0]
-            conditions = _prune(conditions, durations[prune_idx], labels[prune_idx])
-        rule = _merge_conditions(conditions, table.pairs)
+            conditions = oracle_prune(conditions, durations[prune_idx], labels[prune_idx])
+        rule = oracle_merge_conditions(conditions, table.pairs)
         mask = rule.covers_mask(table)
         p_full = int(np.count_nonzero(mask & labels))
         n_full = int(np.count_nonzero(mask & ~labels))
@@ -249,7 +290,7 @@ def segmented_best(tables, covered):
     for t, (table, cov) in enumerate(zip(tables, covered)):
         p = int(np.count_nonzero(cov & table.labels))
         if p:
-            batch.cover(t, cov)
+            batch.covered[batch.start[t] : batch.stop[t]] = cov
             ts.append(t)
             p0.append(p)
             n0.append(int(np.count_nonzero(cov & ~table.labels)))
@@ -325,6 +366,88 @@ def test_best_condition_matches_oracle_bitwise(size, data):
             assert found[0].hex() == exact_gain(table, cov, found).hex()
 
 
+@BOUNDED
+@given(tables=table_batches(), data=st.data())
+def test_batched_split_matches_oracle(tables, data):
+    # one split of a round's tables in each batch of equal width, against
+    # each table's split alone; the tables outside the round make no draw.
+    # As in the learner, every negative row is active and any positive one.
+    tables = [table for table in tables if len(table)]
+    for width in {len(table.pairs) for table in tables}:
+        group = [table for table in tables if len(table.pairs) == width]
+        flags = [st.lists(st.booleans(), min_size=len(t), max_size=len(t)) for t in group]
+        actives = [~t.labels | np.array(data.draw(f)) for t, f in zip(group, flags)]
+        # and a table, all active, whose positives are sequences of 1 and 8
+        # rows, whose prune target only the last one reaches, and whose
+        # negatives are three sequences of 3 rows, whose target two reach
+        row_sids = ["1"] + ["2"] * 8 + ["3"] * 3 + ["4"] * 3 + ["5"] * 3
+        at = data.draw(st.integers(0, len(group)))
+        actives.insert(at, np.ones(len(row_sids), dtype=bool))
+        group.insert(
+            at,
+            DurationTable(
+                multiset=group[0].multiset,
+                sids=tuple(row_sids),
+                durations=np.zeros((len(row_sids), width)),
+                labels=np.array([sid in ("1", "2") for sid in row_sids]),
+            ),
+        )
+        batch = _Batch(group)
+        ts = sorted(data.draw(st.sets(st.sampled_from(range(len(group))), min_size=1)))
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=len(group), max_size=len(group)))
+        rngs = [random.Random(seed) for seed in seeds]
+        active = np.concatenate([a & (t in ts) for t, a in enumerate(actives)])
+        prune = batch.split(ts, active, rngs)
+        for t, table in enumerate(group):
+            rows = slice(batch.start[t], batch.stop[t])
+            rng = random.Random(seeds[t])
+            expected = None
+            if t in ts:
+                expected = oracle_split_rows(table.sids, table.labels, actives[t], rng)
+            if expected is None:
+                assert not prune[rows].any()
+            else:
+                assert (active[rows] & ~prune[rows] == expected[0]).all()
+                assert (prune[rows] == expected[1]).all()
+            assert rngs[t].getstate() == rng.getstate()
+
+
+@BOUNDED
+@given(size=st.integers(2, 4), data=st.data())
+def test_batched_pruning_and_acceptance_match_reference(size, data):
+    # 1-4 conditions per table, both directions and any column, so a
+    # column may take "<=" and ">=" or the same direction twice; "<= v"
+    # has v >= 0 and ">= v" has v <= 0, so no interval is empty, as in a
+    # grown rule
+    tables = data.draw(st.lists(duration_tables(size=size), min_size=1, max_size=4))
+    batch = _Batch(tables)
+    columns = st.integers(0, len(tables[0].pairs) - 1)
+    condition = st.one_of(
+        st.tuples(columns, st.just(_LE), st.integers(0, 4).map(float)),
+        st.tuples(columns, st.just(_GE), st.integers(-4, 0).map(float)),
+    )
+    ts = sorted(data.draw(st.sets(st.sampled_from(range(len(tables))), min_size=1)))
+    conditions = {t: data.draw(st.lists(condition, min_size=1, max_size=4)) for t in ts}
+    prune = None
+    if data.draw(st.booleans()):
+        n = len(batch.labels)
+        prune = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    keep, bounds, used, covered = batch.accept(ts, conditions, prune)
+    for t, table in enumerate(tables):
+        rows = slice(batch.start[t], batch.stop[t])
+        if t not in ts:
+            assert not covered[rows].any()
+            continue
+        kept = conditions[t]
+        if prune is not None:
+            kept = oracle_prune(kept, table.durations[prune[rows]], table.labels[prune[rows]])
+        assert keep[t] == len(kept)
+        rule = oracle_merge_conditions(kept, table.pairs)
+        assert (covered[rows] == rule.covers_mask(table)).all()
+        merged = [(*pair, *bounds[:, c, t]) for c, pair in enumerate(table.pairs) if used[c, t]]
+        assert NumericalRule(tuple(merged)) == rule
+
+
 def test_winning_gain_is_math_log2_where_numpy_differs():
     # a column with one mixed group (p positives, n negatives) below a
     # negative-only group: the only candidate is "<=" with gain
@@ -363,8 +486,10 @@ def test_split_keeps_one_sequence_of_each_class_for_growing():
         labels=labels,
     )
     active = np.ones(len(table), dtype=bool)
+    batch = _Batch([table])
     for seed in range(8):
-        grow, prune = _split_rows(table.seq_index, labels, active, random.Random(seed))
+        prune = batch.split([0], active, [random.Random(seed)])
+        grow = active & ~prune
         expected = oracle_split_rows(table.sids, labels, active, random.Random(seed))
         assert (grow == expected[0]).all() and (prune == expected[1]).all()
         assert (grow & labels).any() and (grow & ~labels).any()

@@ -195,7 +195,7 @@ class TestDcm:
         ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
         cfg = DcmConfig(sigma_min=0.05, g_min=2.0)
         batches = []
-        learn = pipeline.induce_rules_batch
+        learn = pipeline.induce_chronicles
 
         def counted(tables, *args, **kwargs):
             batches.append(len(tables))
@@ -203,7 +203,7 @@ class TestDcm:
                 assert sum(table.durations.size for table in tables) <= pipeline.BATCH_CELLS
             return learn(tables, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "induce_rules_batch", counted)
+        monkeypatch.setattr(pipeline, "induce_chronicles", counted)
         default = dcm(ds, cfg)
         learned = sum(batches)
         assert learned > pipeline.BATCH_TABLES

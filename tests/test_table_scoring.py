@@ -9,7 +9,6 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +24,14 @@ from chronomine import (
     dcm,
     enumerate_occurrences,
     generate_synthetic,
-    induce_rules,
+    induce_rules_batch,
     reevaluate,
     translate,
 )
 from chronomine.matcher import TypeIndex
+from chronomine.rules import induce_chronicles
 
-from conftest import BOUNDED, random_chronicle, random_sequence
+from conftest import BOUNDED, random_sequence
 from test_pipeline import planted_spec
 
 ALPHABET = ("a", "b", "c")
@@ -147,23 +147,36 @@ def test_cap_holds_where_the_occurrence_count_overflows_int64():
 @settings(BOUNDED)
 @given(seed=SEEDS, cap=st.sampled_from([None, 2, 3, 5]))
 def test_table_scores_equal_matcher_scores(seed, cap):
-    rng = random.Random(seed)
-    ds = random_dataset(rng)
+    # the learner reads each rule's supports from its table's covered rows;
+    # the matcher recounts them, also over the sequences the cap truncated
+    ds = random_dataset(random.Random(seed))
     index = TypeIndex(ds)
-    for ms in multisets(ALPHABET, (2, 3)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OccurrenceCapWarning)
-            table = build_duration_table(ms, ds, cap=cap, index=index)
-        chronicles = [translate(r, ms) for r in induce_rules(table, g_min=1.5, seed=seed)]
-        chronicles += [random_chronicle(rng, items=ms) for _ in range(3)]
-        for chronicle in chronicles:
-            assert reevaluate(chronicle, ds, table) == reevaluate(chronicle, ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OccurrenceCapWarning)
+        tables = [
+            build_duration_table(ms, ds, cap=cap, index=index)
+            for ms in multisets(ALPHABET, (2, 3))
+        ]
+    seeds = [seed + k for k in range(len(tables))]
+    expected = []
+    for table, rules in zip(tables, induce_rules_batch(tables, 1.5, seeds)):
+        for rule in rules:
+            mined = reevaluate(translate(rule, table.multiset), ds)
+            if mined.supp_pos >= 1 and mined.growth_rate >= 1.5:
+                expected.append(mined)
+    assert induce_chronicles(tables, ds, 1.5, seeds, 1) == expected
 
 
-def test_table_of_another_multiset_is_rejected(reference_dataset):
-    table = build_duration_table(("A", "B"), reference_dataset)
-    with pytest.raises(ValueError):
-        reevaluate(Chronicle.unconstrained(("A", "C")), reference_dataset, table)
+@settings(BOUNDED)
+@given(seed=SEEDS, cap=st.sampled_from([None, 1, 2, 5]))
+def test_mined_supports_equal_the_matchers(seed, cap):
+    ds = random_dataset(random.Random(seed), n=8)
+    config = DcmConfig(sigma_min=2, g_min=1.5, occurrence_cap=cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OccurrenceCapWarning)
+        results = dcm(ds, config)
+    for mined in results:
+        assert reevaluate(mined.chronicle, ds) == mined
 
 
 def test_untruncated_mining_never_calls_the_matcher(monkeypatch):
