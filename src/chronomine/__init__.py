@@ -21,7 +21,14 @@ from .io import (
     render,
     save_dataset_csv,
 )
-from .itemsets import IndexedItem, Transaction, decode_to_multisets, encode, mine_frequent_itemsets
+from .itemsets import (
+    IndexedItem,
+    Transaction,
+    decode_to_multisets,
+    encode,
+    frequent_multisets,
+    mine_frequent_itemsets,
+)
 from .matcher import (
     DEFAULT_OCCURRENCE_CAP,
     Occurrence,
@@ -75,6 +82,7 @@ __all__ = [
     "Transaction",
     "decode_to_multisets",
     "encode",
+    "frequent_multisets",
     "mine_frequent_itemsets",
     "DEFAULT_OCCURRENCE_CAP",
     "Occurrence",

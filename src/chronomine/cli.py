@@ -12,7 +12,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import io as cio
@@ -76,31 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _save_dataset(dataset, path: str | None) -> None:
-    if path is None:
-        import io as stringio
-
-        buf = stringio.StringIO()
-        import csv
-
-        writer = csv.writer(buf)
-        writer.writerow(cio.DATASET_HEADER)
-        for seq in dataset.sequences:
-            for ev in seq.events:
-                writer.writerow([seq.sid, ev.event_type, repr(ev.timestamp), seq.label])
-        sys.stdout.write(buf.getvalue())
-    else:
-        cio.save_dataset_csv(dataset, path)
-
-
 def _cmd_mine(args) -> int:
     dataset = cio.load_csv(args.input)
     config = DcmConfig(
@@ -113,7 +87,7 @@ def _cmd_mine(args) -> int:
         strict_growth=args.strict_growth,
     )
     results = dcm(dataset, config)
-    _write_text(cio.render(results, args.format), args.output)
+    cio.export(results, args.format, args.output)
     print(f"{len(results)} discriminant chronicles", file=sys.stderr)
     return 0
 
@@ -122,14 +96,14 @@ def _cmd_crossover(args) -> int:
     timelines = cio.load_timeline_csv(args.input)
     cfg = cio.CrossoverConfig(outcome=args.outcome, gap=args.gap, window=args.window)
     dataset = cio.crossover_split(timelines, cfg)
-    _save_dataset(dataset, args.output)
+    cio.save_dataset_csv(dataset, args.output)
     return 0
 
 
 def _cmd_generate(args) -> int:
     spec = load_spec_json(args.spec)
     dataset = generate_synthetic(spec, seed=args.seed)
-    _save_dataset(dataset, args.output)
+    cio.save_dataset_csv(dataset, args.output)
     return 0
 
 
@@ -137,7 +111,7 @@ def _cmd_match(args) -> int:
     dataset = cio.load_csv(args.input)
     chronicles = cio.load_chronicles_json(args.chronicles)
     mined = [reevaluate(c, dataset) for c in chronicles]
-    _write_text(json.dumps([cio.chronicle_to_obj(m) for m in mined], indent=2), args.output)
+    cio.export(mined, "json", args.output)
     return 0
 
 

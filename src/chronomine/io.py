@@ -11,9 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ConfigError, InputError
 from .model import (
@@ -86,9 +89,25 @@ def load_csv(path) -> SequenceDataset:
     return SequenceDataset.from_sequences(sequences)
 
 
-def save_dataset_csv(dataset: SequenceDataset, path) -> None:
-    """Inverse of load_csv; timestamps keep full precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+@contextmanager
+def _text_out(out: TextIO | str | os.PathLike | None) -> Iterator[TextIO]:
+    """``out`` as a text stream: a path is opened for writing (and closed),
+    None is stdout, and a stream is used as it is."""
+    if out is None:
+        yield sys.stdout
+    elif isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield out
+
+
+def save_dataset_csv(
+    dataset: SequenceDataset, out: TextIO | str | os.PathLike | None
+) -> None:
+    """Inverse of load_csv, written to a path, a text stream, or stdout;
+    timestamps keep full precision."""
+    with _text_out(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
         for seq in dataset.sequences:
@@ -248,18 +267,13 @@ def render(results: Iterable[MinedChronicle], fmt: str) -> str:
     return _RENDERERS[fmt](list(results))
 
 
-def export(results: Iterable[MinedChronicle], fmt: str, out: TextIO | str | None) -> None:
-    """Render results and write them to a path, a file object, or stdout."""
+def export(
+    results: Iterable[MinedChronicle], fmt: str, out: TextIO | str | os.PathLike | None
+) -> None:
+    """Render results and write them to a path, a text stream, or stdout."""
     text = render(results, fmt)
-    if out is None:
-        import sys
-
-        sys.stdout.write(text)
-    elif isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    with _text_out(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

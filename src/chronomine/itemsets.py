@@ -1,11 +1,23 @@
-"""Frequent multiset extraction via indexed-item encoding.
+"""Frequent multiset extraction: the indexed-item encoding, searched on bitsets.
 
 A type occurring n times in a sequence is encoded as the n items
 (type, 1) ... (type, n), where (type, k) reads "at least k occurrences".
-A standard frequent itemset miner then runs over these transactions, and
-surviving itemsets decode back into event-type multisets.  An itemset
-holding two different indices of the same type decodes to the same multiset
-as its larger index alone, so those are dropped as redundant.
+A multiset is then the itemset holding one index per type, and it is
+frequent exactly when that itemset is.  ``frequent_multisets``, which a
+mining run calls, searches these items straight from the run's
+``TypeIndex``: each item's tidsets are two Python-int bitmasks (one bit
+per positive sequence, one per negative), built from the per-type counts,
+and each extension of the depth-first search ANDs both masks and counts
+their bits, so every multiset comes out with its positive and negative
+support.  An itemset holding two indices of the same type is redundant
+(it decodes to the same multiset as its larger index alone), so the search
+never extends a prefix by a second index of its last type: each multiset
+is produced once and nothing needs decoding.
+
+``encode``, ``mine_frequent_itemsets`` and ``decode_to_multisets`` are the
+encoding spelled out step by step (transactions, a generic frequent itemset
+miner over set tidsets, then a decoder that drops the redundant itemsets).
+They are kept as the reference that the bitset search is tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +26,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence as SequenceType
 
+import numpy as np
+
+from .matcher import TypeIndex
 from .model import Sequence
 
 
@@ -118,3 +133,70 @@ def decode_to_multisets(itemsets: Iterable[frozenset[IndexedItem]]) -> set[tuple
             multiset.extend([item.event_type] * item.occurrence_index)
         out.add(tuple(sorted(multiset)))
     return out
+
+
+def frequent_multisets(
+    index: TypeIndex, sigma: int, min_size: int = 1, max_size: int | None = None
+) -> list[tuple[tuple[str, ...], int, int]]:
+    """Every multiset of ``min_size`` to ``max_size`` events held by at least
+    ``sigma`` positive sequences, as sorted (multiset, supp_pos, supp_neg)
+    triples.
+
+    Supports count the sequences of ``index`` that hold the multiset: its
+    positive sequences, then its negative ones.
+    """
+    if sigma < 1:
+        raise ValueError(f"sigma must be >= 1, got {sigma}")
+    n_pos = index.n_pos
+    items = []
+    for etype in sorted(index.count):
+        count = index.count[etype]
+        k = 1
+        while max_size is None or k <= max_size:
+            pos = count[:n_pos] >= k
+            if np.count_nonzero(pos) < sigma:
+                break
+            items.append((etype, k, _bitmask(pos), _bitmask(count[n_pos:] >= k)))
+            k += 1
+    out: list[tuple[tuple[str, ...], int, int]] = []
+    _extend((), items, sigma, min_size, max_size, out)
+    out.sort()
+    return out
+
+
+def _bitmask(held: np.ndarray) -> int:
+    """The boolean array as an int whose bit ``s`` is ``held[s]``."""
+    return int.from_bytes(np.packbits(held, bitorder="little").tobytes(), "little")
+
+
+def _extend(
+    prefix: tuple[str, ...],
+    extensions: list[tuple[str, int, int, int]],
+    sigma: int,
+    min_size: int,
+    max_size: int | None,
+    out: list[tuple[tuple[str, ...], int, int]],
+) -> None:
+    """Record in ``out`` each multiset ``prefix`` + (type, k) of
+    ``extensions`` and then, depth first, its own frequent extensions.
+
+    ``extensions`` holds the frequent items (type, k, pos, neg) that extend
+    ``prefix``, in (type, k) order, where the bits of ``pos`` and ``neg``
+    are the sequences holding ``prefix`` and the item.  A multiset grows
+    only by types after its last one, and only by an item that extends its
+    prefix too, so its candidates are the later extensions of another type.
+    Module level for the same reason as ``_grow``.
+    """
+    for i, (etype, k, pos, neg) in enumerate(extensions):
+        multiset = prefix + (etype,) * k
+        if len(multiset) >= min_size:
+            out.append((multiset, pos.bit_count(), neg.bit_count()))
+        children = []
+        for later, j, later_pos, later_neg in extensions[i + 1 :]:
+            if later == etype or (max_size is not None and len(multiset) + j > max_size):
+                continue
+            held_pos = pos & later_pos
+            if held_pos.bit_count() >= sigma:
+                children.append((later, j, held_pos, neg & later_neg))
+        if children:
+            _extend(multiset, children, sigma, min_size, max_size, out)

@@ -263,7 +263,14 @@ class MinedChronicle:
             )
 
 
-def is_discriminant(mined: MinedChronicle, sigma_min: int, g_min: float) -> bool:
+def is_discriminant(
+    mined: MinedChronicle, sigma_min: int, g_min: float, strict: bool = False
+) -> bool:
     """True iff the pattern is frequent enough in positives and its positive
-    support is at least g_min times its negative support."""
-    return mined.supp_pos >= sigma_min and mined.supp_pos >= g_min * mined.supp_neg
+    support is at least (with ``strict``, more than) g_min times its
+    negative support."""
+    if mined.supp_pos < sigma_min:
+        return False
+    if strict:
+        return mined.supp_pos > g_min * mined.supp_neg
+    return mined.supp_pos >= g_min * mined.supp_neg

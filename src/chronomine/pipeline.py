@@ -7,21 +7,22 @@ tables.  Every candidate is re-scored at sequence level before emission, so
 the output contract is simple: every returned chronicle is discriminant at
 the configured thresholds.
 
-Each run indexes the dataset's event types once (``TypeIndex``).  The index
-gives the constraint-free supports, and ``dcm`` applies the shortcut
-itself: only the multisets that are not discriminant alone go on to
-learning.  Their duration tables are built in order and learned in
-batches, flushed at ``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells:
-batching shares numpy's per-call cost among many small tables, since each
-step of a covering round (the grow/prune split, each grow step, the
-pruning and the acceptance test) serves a whole batch, and the bounds cap
-the memory a batch holds, with a larger table learned alone.  Each learned
-rule is re-scored from the rows its acceptance test covered, with the
-matcher only as the fallback for sequences the occurrence cap truncated,
-and only a rule that passes both thresholds is translated into a
-chronicle.  With ``CHRONOMINE_THREADS`` above 1, a process pool maps that
-learning over contiguous slices of the learned multisets,
-``SLICES_PER_WORKER`` per worker.
+Each run indexes the dataset's event types once (``TypeIndex``).  The
+frequent multisets are mined straight from that index
+(``frequent_multisets``), each with its positive and negative support, so
+``dcm`` applies the shortcut to those supports with no recount: only the
+multisets that are not discriminant alone go on to learning.  Their duration
+tables are built in order and learned in batches, flushed at
+``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells: batching shares numpy's
+per-call cost among many small tables, since each step of a covering round
+(the grow/prune split, each grow step, the pruning and the acceptance test)
+serves a whole batch, and the bounds cap the memory a batch holds, with a
+larger table learned alone.  Each learned rule is re-scored from the rows
+its acceptance test covered, with the matcher only as the fallback for
+sequences the occurrence cap truncated, and only a rule that passes both
+thresholds is translated into a chronicle.  With ``CHRONOMINE_THREADS``
+above 1, a process pool maps that learning over contiguous slices of the
+learned multisets, ``SLICES_PER_WORKER`` per worker.
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ import os
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
-from .itemsets import decode_to_multisets, encode, mine_frequent_itemsets
+from .itemsets import frequent_multisets
 from .matcher import TypeIndex
-from .model import Chronicle, MinedChronicle, SequenceDataset
+from .model import Chronicle, MinedChronicle, SequenceDataset, is_discriminant
 from .rules import DurationTable, build_duration_table, induce_chronicles
-from .rules import induce_rules, reevaluate, translate  # not called: perfbench's tracer wraps them
+
+# not called: perfbench's tracer wraps these names here
+from .itemsets import decode_to_multisets, encode, mine_frequent_itemsets
+from .rules import induce_rules, reevaluate, translate
 
 #: Workers that learn the multisets' constraints; unset or 1 means run
 #: sequentially.
@@ -93,18 +97,14 @@ class DcmConfig:
         return max(1, math.ceil(self.sigma_min))
 
 
-def _passes_growth(supp_pos: int, supp_neg: int, g_min: float, strict: bool) -> bool:
-    if strict:
-        return supp_pos > g_min * supp_neg
-    return supp_pos >= g_min * supp_neg
-
-
 def check_multiset_discriminancy(
     multiset: tuple[str, ...], dataset: SequenceDataset, config: DcmConfig
 ) -> bool:
     """Whether the bare multiset already passes the growth comparison."""
     supp_pos, supp_neg = TypeIndex(dataset).supports(multiset)
-    return _passes_growth(supp_pos, supp_neg, config.g_min, config.strict_growth)
+    mined = MinedChronicle(Chronicle.unconstrained(sorted(multiset)), supp_pos, supp_neg)
+    # growth only: the support threshold is the miner's test
+    return is_discriminant(mined, 0, config.g_min, config.strict_growth)
 
 
 def _multiset_seed(base_seed: int, multiset: tuple[str, ...]) -> int:
@@ -212,41 +212,15 @@ def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[Mined
         raise ValueError("no positive sequences")
     sigma = config.resolve_sigma(len(dataset.positives))
 
-    transactions = encode(dataset.positives)
-    if config.max_size is not None:
-        # items meaning "at least k occurrences" with k beyond the size cap
-        # can never contribute to an admissible multiset
-        transactions = [
-            replace(
-                tx,
-                items=frozenset(
-                    it for it in tx.items if it.occurrence_index <= config.max_size
-                ),
-            )
-            for tx in transactions
-        ]
-    itemsets = mine_frequent_itemsets(transactions, sigma, max_items=config.max_size)
-    multisets = [
-        ms
-        for ms in decode_to_multisets(itemsets)
-        if len(ms) >= config.min_size
-        and (config.max_size is None or len(ms) <= config.max_size)
-    ]
-    multisets.sort()
-
     index = TypeIndex(dataset)
     results: list[MinedChronicle] = []
     learned = []
-    for multiset in multisets:
-        supp_pos, supp_neg = index.supports(multiset)
-        if _passes_growth(supp_pos, supp_neg, config.g_min, config.strict_growth):
-            results.append(
-                MinedChronicle(
-                    chronicle=Chronicle.unconstrained(multiset),
-                    supp_pos=supp_pos,
-                    supp_neg=supp_neg,
-                )
-            )
+    for multiset, supp_pos, supp_neg in frequent_multisets(
+        index, sigma, config.min_size, config.max_size
+    ):
+        mined = MinedChronicle(Chronicle.unconstrained(multiset), supp_pos, supp_neg)
+        if is_discriminant(mined, sigma, config.g_min, config.strict_growth):
+            results.append(mined)
         elif len(multiset) > 1:  # a singleton has no pair duration to constrain
             learned.append(multiset)
 

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from chronomine import generate_synthetic, load_spec_json, save_dataset_csv
 from chronomine.cli import main
 
 from test_io import write_reference_csv
@@ -147,6 +149,15 @@ class TestGenerateAndMatch:
         spec_path.write_text(json.dumps(SPEC))
         assert main(["generate", "--spec", str(spec_path)]) == 0
         assert capsys.readouterr().out.startswith("sid,event,timestamp,label")
+
+    def test_generate_stdout_is_the_csv_file_byte_for_byte(self, tmp_path, capfdbinary):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        file_path = tmp_path / "data.csv"
+        save_dataset_csv(generate_synthetic(load_spec_json(spec_path), seed=5), file_path)
+        assert main(["generate", "--spec", str(spec_path), "--seed", "5"]) == 0
+        sys.stdout.flush()
+        assert capfdbinary.readouterr().out == file_path.read_bytes()
 
     def test_bad_spec_is_exit_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -10,6 +11,7 @@ from chronomine import (
     MinedChronicle,
     chronicle_from_obj,
     crossover_split,
+    export,
     load_chronicles_json,
     load_csv,
     load_timeline_csv,
@@ -52,6 +54,13 @@ class TestLoadCsv:
         path = tmp_path / "out.csv"
         save_dataset_csv(reference_dataset, path)
         assert load_csv(path) == reference_dataset
+
+    def test_a_stream_gets_the_bytes_of_the_file(self, tmp_path, reference_dataset):
+        path = tmp_path / "out.csv"
+        save_dataset_csv(reference_dataset, path)
+        stream = io.StringIO(newline="")
+        save_dataset_csv(reference_dataset, stream)
+        assert stream.getvalue().encode("utf-8") == path.read_bytes()
 
     def test_header_only_gives_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -149,6 +158,17 @@ class TestRender:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
             render([], "yaml")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+    def test_export_writes_the_rendering_to_a_path_or_a_stream(
+        self, translated_result, tmp_path, fmt
+    ):
+        path = tmp_path / f"out.{fmt}"
+        export([translated_result], fmt, path)
+        stream = io.StringIO(newline="")
+        export([translated_result], fmt, stream)
+        text = render([translated_result], fmt)
+        assert path.read_bytes() == stream.getvalue().encode("utf-8") == text.encode("utf-8")
 
 
 class TestChronicleJson:
