@@ -16,6 +16,7 @@ import sys
 
 from . import io as cio
 from .errors import ConfigError, InputError
+from .matcher import DEFAULT_OCCURRENCE_CAP
 from .pipeline import DcmConfig, dcm
 from .rules import reevaluate
 from .synth import generate_synthetic, load_spec_json
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="require strictly greater growth in the constraint-free shortcut",
     )
-    mine.add_argument("--occurrence-cap", type=int, default=10_000)
+    mine.add_argument("--occurrence-cap", type=int, default=DEFAULT_OCCURRENCE_CAP)
     mine.set_defaults(func=_cmd_mine)
 
     crossover = sub.add_parser(

@@ -294,6 +294,9 @@ class CrossoverConfig:
     window: float = 90.0
 
     def __post_init__(self):
+        for name, value in (("gap", self.gap), ("window", self.window)):
+            if not -math.inf < value < math.inf:  # also false for NaN
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.gap < 0:
             raise ConfigError(f"gap must be >= 0, got {self.gap}")
         if self.window <= 0:

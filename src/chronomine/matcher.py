@@ -164,18 +164,6 @@ def _search(
     yield from extend(0, 0)
 
 
-def _enumerate_capped(
-    chronicle: Chronicle, sequence: Sequence, cap: int | None
-) -> tuple[list[Occurrence], bool]:
-    """Enumerate occurrences up to ``cap``; returns (occurrences, truncated)."""
-    out: list[Occurrence] = []
-    for mapping, times in _search(chronicle, sequence):
-        if cap is not None and len(out) >= cap:
-            return out, True
-        out.append(Occurrence(sequence.sid, mapping, times))
-    return out, False
-
-
 def enumerate_occurrences(
     chronicle: Chronicle, sequence: Sequence, cap: int | None = DEFAULT_OCCURRENCE_CAP
 ) -> list[Occurrence]:
@@ -185,15 +173,18 @@ def enumerate_occurrences(
     the sequence holds more occurrences, the list is truncated and an
     OccurrenceCapWarning is emitted.
     """
-    occurrences, truncated = _enumerate_capped(chronicle, sequence, cap)
-    if truncated:
-        warnings.warn(
-            f"occurrence cap {cap} reached in sequence {sequence.sid!r}; "
-            "enumeration truncated",
-            OccurrenceCapWarning,
-            stacklevel=2,
-        )
-    return occurrences
+    out: list[Occurrence] = []
+    for mapping, times in _search(chronicle, sequence):
+        if cap is not None and len(out) >= cap:
+            warnings.warn(
+                f"occurrence cap {cap} reached in sequence {sequence.sid!r}; "
+                "enumeration truncated",
+                OccurrenceCapWarning,
+                stacklevel=2,
+            )
+            break
+        out.append(Occurrence(sequence.sid, mapping, times))
+    return out
 
 
 def occurs(chronicle: Chronicle, sequence: Sequence) -> bool:

@@ -10,7 +10,7 @@ and hashable; every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -245,32 +245,38 @@ def growth_rate(supp_pos: int, supp_neg: int) -> float:
 
 @dataclass(frozen=True)
 class MinedChronicle:
-    """A chronicle annotated with its supports and growth rate."""
+    """A chronicle annotated with its supports; its growth rate is derived
+    from them.  Whether it is discriminant is ``is_discriminant``'s
+    decision, not a comparison of ``growth_rate`` with a threshold."""
 
     chronicle: Chronicle
     supp_pos: int
     supp_neg: int
-    growth_rate: float = field(default=math.nan)
 
-    def __post_init__(self):
-        expected = growth_rate(self.supp_pos, self.supp_neg)
-        if math.isnan(self.growth_rate):
-            object.__setattr__(self, "growth_rate", expected)
-        elif self.growth_rate != expected:
-            raise ValueError(
-                f"growth rate {self.growth_rate} inconsistent with supports "
-                f"({self.supp_pos}, {self.supp_neg})"
-            )
+    @property
+    def growth_rate(self) -> float:
+        return growth_rate(self.supp_pos, self.supp_neg)
+
+
+def meets_growth(supp_pos: int, supp_neg: int, g_min: float, strict: bool = False) -> bool:
+    """The growth test of discriminancy: positive support at least (with
+    ``strict``, more than) g_min times negative support.
+
+    This is the one place the comparison is made; the shortcut, the
+    learner's acceptance test and the emission of learned chronicles all
+    call it.  It is a product, not a ratio, so it never divides: a
+    ``growth_rate`` that rounds up to g_min does not pass it.
+    """
+    if strict:
+        return supp_pos > g_min * supp_neg
+    return supp_pos >= g_min * supp_neg
 
 
 def is_discriminant(
     mined: MinedChronicle, sigma_min: int, g_min: float, strict: bool = False
 ) -> bool:
-    """True iff the pattern is frequent enough in positives and its positive
-    support is at least (with ``strict``, more than) g_min times its
-    negative support."""
-    if mined.supp_pos < sigma_min:
-        return False
-    if strict:
-        return mined.supp_pos > g_min * mined.supp_neg
-    return mined.supp_pos >= g_min * mined.supp_neg
+    """True iff the pattern is frequent enough in positives (``sigma_min``)
+    and passes ``meets_growth`` at ``g_min``."""
+    return mined.supp_pos >= sigma_min and meets_growth(
+        mined.supp_pos, mined.supp_neg, g_min, strict
+    )

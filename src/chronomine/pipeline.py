@@ -5,7 +5,13 @@ ones already discriminant without any temporal constraint as-is, and for
 the rest learns discriminant temporal constraints from their duration
 tables.  Every candidate is re-scored at sequence level before emission, so
 the output contract is simple: every returned chronicle is discriminant at
-the configured thresholds.
+the configured thresholds.  Discriminancy is one decision,
+``model.is_discriminant``: positive support at least sigma and the growth
+test ``model.meets_growth``, supp_pos >= g_min * supp_neg.  The shortcut
+makes it on a multiset's supports, the learner's acceptance test makes the
+growth test on a rule's covered rows, and emission makes it on a learned
+chronicle's sequence-level supports, so a chronicle that is emitted passes
+``is_discriminant`` when rescored from scratch.
 
 Each run indexes the dataset's event types once (``TypeIndex``).  The
 frequent multisets are mined straight from that index
@@ -20,9 +26,14 @@ serves a whole batch, and the bounds cap the memory a batch holds, with a
 larger table learned alone.  Each learned rule is re-scored from the rows
 its acceptance test covered, with the matcher only as the fallback for
 sequences the occurrence cap truncated, and only a rule that passes both
-thresholds is translated into a chronicle.  With ``CHRONOMINE_THREADS``
+thresholds becomes a chronicle.  With ``CHRONOMINE_THREADS``
 above 1, a process pool maps that learning over contiguous slices of the
 learned multisets, ``SLICES_PER_WORKER`` per worker.
+
+The output needs no dedupe: chronicles of different multisets differ in
+their items, a multiset that takes the shortcut gets no table, and each
+rule a table keeps covers a positive row that no earlier rule of that table
+covered, so no two output chronicles are equal.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .itemsets import frequent_multisets
-from .matcher import TypeIndex
+from .matcher import DEFAULT_OCCURRENCE_CAP, TypeIndex
 from .model import Chronicle, MinedChronicle, SequenceDataset, is_discriminant
 from .rules import DurationTable, build_duration_table, induce_chronicles
 
@@ -64,19 +75,23 @@ class DcmConfig:
     """Mining parameters.
 
     ``sigma_min`` below 1 is a fraction of the positive set (converted by
-    ceiling); otherwise it is an absolute sequence count.  ``strict_growth``
-    switches the constraint-free shortcut test from >= to a strict >.
+    ceiling); otherwise it is an absolute sequence count.  Both thresholds
+    must be finite.  ``strict_growth`` switches the constraint-free
+    shortcut test from >= to a strict >.
     """
 
     sigma_min: float = 2
     g_min: float = 2.0
     min_size: int = 2
     max_size: int | None = None
-    occurrence_cap: int | None = 10_000
+    occurrence_cap: int | None = DEFAULT_OCCURRENCE_CAP
     seed: int = 0
     strict_growth: bool = False
 
     def __post_init__(self):
+        for name, value in (("sigma_min", self.sigma_min), ("g_min", self.g_min)):
+            if not -math.inf < value < math.inf:  # also false for NaN
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.sigma_min <= 0:
             raise ConfigError(f"sigma_min must be positive, got {self.sigma_min}")
         if self.g_min < 1:
@@ -239,7 +254,4 @@ def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[Mined
     else:
         results.extend(_learn(learned, dataset, index, config, sigma))
 
-    unique: dict[Chronicle, MinedChronicle] = {}
-    for mined in results:
-        unique.setdefault(mined.chronicle, mined)
-    return sorted(unique.values(), key=_output_order)
+    return sorted(results, key=_output_order)

@@ -32,6 +32,12 @@ candidates are the same canonical assignments, so this count is exact.
 The matcher (``support``) runs only on sequences whose enumeration hit
 the occurrence cap and that have no covered row.  ``reevaluate`` counts
 a chronicle's supports with the matcher alone.
+
+Growth is decided by one predicate, ``model.meets_growth`` (p >= g_min * n):
+the acceptance test applies it to a rule's covered rows, and emission
+applies it, through ``is_discriminant``, to its sequence-level supports,
+the same test the pipeline's shortcut makes.  A kept rule's conditions
+become the chronicle's constraints with ``Chronicle.build``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ from .model import (
     MinedChronicle,
     Sequence,
     SequenceDataset,
-    growth_rate,
+    is_discriminant,
+    meets_growth,
 )
 
 #: Reduced-error pruning needs a meaningful grow/prune split; below this many
@@ -420,9 +427,9 @@ class _Batch:
             return x[..., 0] if x.ndim == 1 else x[..., :1]
         return x.take(self.row_table if tables is None else tables, axis=-1)
 
-    def cover(self, t: int, rows: np.ndarray | None) -> None:
-        """Cover the rows of table ``t`` in the ``rows`` mask; None covers none."""
-        self.covered[self.start[t] : self.stop[t]] = False if rows is None else rows
+    def uncover(self, t: int) -> None:
+        """Cover none of the rows of table ``t``."""
+        self.covered[self.start[t] : self.stop[t]] = False
 
     def per_table(self, rows: np.ndarray) -> np.ndarray:
         """Each table's count of the rows in the ``rows`` mask."""
@@ -688,9 +695,10 @@ def _cover(
     a rule for each table that has positive and negative grow rows (one
     ``_Batch.best`` step per condition for all of them), then prunes them
     and takes their covers (``_Batch.accept``).  A table keeps its rule if
-    it reaches ``g_min`` on the whole table (it always covers a positive
-    row not yet covered); an all-positive table keeps the empty rule.  A
-    table goes on to another round while it has uncovered positive rows.
+    its covered rows of the whole table pass ``meets_growth`` at ``g_min``
+    (it always covers a positive row not yet covered); an all-positive
+    table keeps the empty rule.  A table goes on to another round while it
+    has uncovered positive rows.
     The supports of the rules kept in a round are the covered groups per
     class, counted with one bincount.
 
@@ -725,7 +733,7 @@ def _cover(
                     batch.restrict(t, *condition)
                     still.append(t)
                 else:
-                    batch.cover(t, None)
+                    batch.uncover(t)
             growing = still
 
         ts = [t for t in covering if conditions[t] or only_positive[t]]
@@ -736,7 +744,7 @@ def _cover(
         # its last condition kept, which pruning and the whole table widen
         p_full = batch.per_table(covered & labels).tolist()
         n_full = (batch.per_table(covered) - p_full).tolist()
-        covering = [t for t in ts if growth_rate(p_full[t], n_full[t]) >= g_min]
+        covering = [t for t in ts if meets_growth(p_full[t], n_full[t], g_min)]
         remaining &= ~covered  # a table that keeps no rule stops here
         seen = np.zeros(len(batch.group_seq), dtype=bool)
         seen[batch.gid.compress(covered)] = True
@@ -804,33 +812,34 @@ def induce_chronicles(
     sigma: int,
 ) -> list[MinedChronicle]:
     """The discriminant chronicles among the tables' rules, as
-    ``induce_rules_batch`` learns them with pruning: those with positive
-    support at least ``sigma`` and growth rate at least ``g_min`` at
-    sequence level, in table order.  The tables must be built from
-    ``dataset``.
+    ``induce_rules_batch`` learns them with pruning: those that pass
+    ``is_discriminant`` at ``sigma`` and ``g_min`` at sequence level, in
+    table order.  The tables must be built from ``dataset``.
 
     The supports are read from the acceptance test's cover: the distinct
     covered sequences of each class, which are exactly the sequences that
-    support the translated chronicle, except that the matcher decides the
+    support the rule's chronicle, except that the matcher decides the
     capped sequences that have no covered row.  So a rule without one is
-    judged before it is translated.
+    judged, with the same ``meets_growth`` test, before its chronicle is
+    built.
     """
     tables = list(tables)
     sequences = dataset.sequences
     out = []
     for table, found in zip(tables, _induce(tables, g_min, list(seeds), True)):
         for rule, supp_pos, supp_neg, unresolved in found:
-            if not unresolved and (supp_pos < sigma or growth_rate(supp_pos, supp_neg) < g_min):
-                continue  # the supports are final: no need to translate
-            chronicle = translate(NumericalRule(rule), table.multiset)
+            if not unresolved and (supp_pos < sigma or not meets_growth(supp_pos, supp_neg, g_min)):
+                continue  # the supports are final: no need to build the chronicle
+            chronicle = Chronicle.build(table.multiset, rule)
             pos = [sequences[k] for k in unresolved if sequences[k].label == POSITIVE]
             neg = [sequences[k] for k in unresolved if sequences[k].label != POSITIVE]
             if pos:
                 supp_pos += support(chronicle, pos)
             if neg:
                 supp_neg += support(chronicle, neg)
-            if supp_pos >= sigma and growth_rate(supp_pos, supp_neg) >= g_min:
-                out.append(MinedChronicle(chronicle, supp_pos, supp_neg))
+            mined = MinedChronicle(chronicle, supp_pos, supp_neg)
+            if is_discriminant(mined, sigma, g_min):
+                out.append(mined)
     return out
 
 
@@ -843,12 +852,12 @@ def induce_rules(
     """Sequential covering over the duration table.
 
     Each accepted rule is grown by FOIL gain (optionally reduced-error
-    pruned) and must reach row-level growth >= g_min on the full table;
-    covered positive rows are removed between rules.  The support threshold
-    is not applied here: it is enforced at sequence level after
-    reevaluation.  Degenerate tables: all-positive rows yield the single
-    unconstrained rule, all-negative (or empty) tables yield nothing.  This
-    is a batch of one of ``induce_rules_batch``.
+    pruned) and its covered rows of the full table must pass
+    ``meets_growth`` at g_min; covered positive rows are removed between
+    rules.  The support threshold is not applied here: it is enforced at
+    sequence level after reevaluation.  Degenerate tables: all-positive rows
+    yield the single unconstrained rule, all-negative (or empty) tables
+    yield nothing.  This is a batch of one of ``induce_rules_batch``.
     """
     return induce_rules_batch([table], g_min, [seed], prune)[0]
 

@@ -86,6 +86,12 @@ class TestMine:
     def test_bad_growth_is_exit_2(self, dataset_csv):
         assert main(["mine", "--input", str(dataset_csv), "--min-growth", "0.5"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--min-support", "--min-growth"])
+    def test_non_finite_threshold_is_exit_2(self, dataset_csv, capsys, flag, value):
+        assert main(["mine", "--input", str(dataset_csv), f"{flag}={value}"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_bad_size_bounds_is_exit_2(self, dataset_csv):
         assert (
             main(
@@ -227,3 +233,12 @@ class TestCrossover:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--gap", "--window"])
+    def test_non_finite_window_is_exit_2(self, tmp_path, capsys, flag, value):
+        timeline = tmp_path / "timeline.csv"
+        timeline.write_text("sid,event,timestamp\np,X,10\n")
+        args = ["crossover", "--input", str(timeline), "--outcome", "X", f"{flag}={value}"]
+        assert main(args) == 2
+        assert "must be finite" in capsys.readouterr().err

@@ -240,3 +240,9 @@ class TestCrossover:
             CrossoverConfig(outcome="X", gap=-1)
         with pytest.raises(ConfigError):
             CrossoverConfig(outcome="X", window=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["gap", "window"])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            CrossoverConfig(outcome="X", **{name: value})

@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chronomine import rules
+from chronomine.model import meets_growth
 from chronomine.rules import (
     MIN_ROWS_FOR_PRUNING,
     PRUNE_FRACTION,
@@ -196,8 +197,7 @@ def oracle_induce_rules(table, g_min, seed=0, prune=True):
         mask = rule.covers_mask(table)
         p_full = int(np.count_nonzero(mask & labels))
         n_full = int(np.count_nonzero(mask & ~labels))
-        growth = math.inf if n_full == 0 else p_full / n_full
-        if p_full == 0 or growth < g_min:
+        if p_full == 0 or not meets_growth(p_full, n_full, g_min):
             break
         if not (mask & remaining).any():
             break

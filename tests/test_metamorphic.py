@@ -163,12 +163,15 @@ def _assert_duplication_doubles_supports(dataset, config):
     )
     doubled_config = replace(config, sigma_min=2 * config.sigma_min)
     sigma = doubled_config.resolve_sigma(len(doubled.positives))
+    original = dcm(dataset, config)
     expected = [
         MinedChronicle(chronicle=m.chronicle, supp_pos=2 * m.supp_pos, supp_neg=2 * m.supp_neg)
-        for m in dcm(dataset, config)
+        for m in original
         if not m.chronicle.constraints
     ]
     results = dcm(doubled, doubled_config)
+    for output in (original, results):  # dcm has no dedupe: none is needed
+        assert len({m.chronicle for m in output}) == len(output)
     shortcut = [m for m in results if not m.chronicle.constraints]
     assert shortcut == expected
     assert [m.growth_rate for m in shortcut] == [

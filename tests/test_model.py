@@ -15,6 +15,7 @@ from chronomine import (
     is_discriminant,
     satisfies,
 )
+from chronomine.model import meets_growth
 
 
 class TestSatisfies:
@@ -78,6 +79,14 @@ class TestIsDiscriminant:
     def test_infinite_growth_still_needs_support(self):
         assert is_discriminant(self._mined(3, 0), sigma_min=3, g_min=100)
         assert not is_discriminant(self._mined(2, 0), sigma_min=3, g_min=1)
+
+    def test_growth_is_a_product_not_a_ratio(self):
+        # 55 / 50 == 1.1, but 1.1 * 50 == 55.00000000000001
+        assert growth_rate(55, 50) == 1.1
+        assert not meets_growth(55, 50, 1.1)
+        assert not is_discriminant(self._mined(55, 50), sigma_min=1, g_min=1.1)
+        assert meets_growth(56, 50, 1.1) and meets_growth(0, 0, 5)
+        assert meets_growth(4, 2, 2) and not meets_growth(4, 2, 2, strict=True)
 
 
 class TestTemporalConstraint:
@@ -181,8 +190,11 @@ class TestMinedChronicle:
         assert m.growth_rate == 2.0
 
     def test_inconsistent_growth_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
+        # the growth rate is derived from the supports, so none can be passed
+        with pytest.raises(TypeError, match="growth_rate"):
             MinedChronicle(Chronicle.unconstrained(("A",)), 4, 2, growth_rate=3.0)
+        m = MinedChronicle(Chronicle.unconstrained(("A",)), 4, 3)
+        assert m.growth_rate == growth_rate(4, 3)
 
     def test_infinite_growth(self):
         m = MinedChronicle(Chronicle.unconstrained(("A",)), 4, 0)

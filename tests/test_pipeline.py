@@ -64,6 +64,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DcmConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["sigma_min", "g_min"])
+    def test_non_finite_thresholds_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            DcmConfig(**{name: value})
+
 
 class TestMultisetDiscriminancy:
     def test_balanced_multiset_is_not_discriminant(self, reference_dataset):
@@ -240,6 +246,20 @@ class TestDcm:
                 assert not mined.chronicle.constraints
             assert reevaluate(mined.chronicle, reference_dataset) == mined
             assert is_discriminant(mined, 1, cfg.g_min)
+
+    def test_learned_growth_uses_the_shortcut_predicate(self):
+        # (A, B) with B - A <= 15 holds in 55 positives and 50 negatives:
+        # 55 / 50 rounds to 1.1, but 55 < 1.1 * 50, so it is not discriminant
+        ds = SequenceDataset.from_sequences(
+            [make_sequence(f"p{k}", [("A", 0), ("B", 15)], "+") for k in range(55)]
+            + [make_sequence(f"n{k}", [("A", 0), ("B", 15)], "-") for k in range(50)]
+            + [make_sequence(f"m{k}", [("A", 0), ("B", 50)], "-") for k in range(165)]
+        )
+        cfg = DcmConfig(sigma_min=2, g_min=1.1)
+        results = dcm(ds, cfg)
+        for mined in results:
+            assert is_discriminant(mined, 2, cfg.g_min)
+        assert [m for m in results if (m.supp_pos, m.supp_neg) == (55, 50)] == []
 
     def test_reference_chronicle_scores(self, five_item_chronicle, reference_dataset):
         mined = reevaluate(five_item_chronicle, reference_dataset)
