@@ -50,7 +50,7 @@ from .model import (
     is_discriminant,
     satisfies,
 )
-from .pipeline import DcmConfig, check_multiset_discriminancy, dcm
+from .pipeline import DcmConfig, dcm
 from .rules import (
     DurationTable,
     NumericalRule,
@@ -58,7 +58,6 @@ from .rules import (
     induce_rules,
     induce_rules_batch,
     reevaluate,
-    row_growth,
     translate,
 )
 from .synth import PlantedPattern, SyntheticSpec, generate_synthetic, load_spec_json
@@ -102,7 +101,6 @@ __all__ = [
     "is_discriminant",
     "satisfies",
     "DcmConfig",
-    "check_multiset_discriminancy",
     "dcm",
     "DurationTable",
     "NumericalRule",
@@ -110,7 +108,6 @@ __all__ = [
     "induce_rules",
     "induce_rules_batch",
     "reevaluate",
-    "row_growth",
     "translate",
     "PlantedPattern",
     "SyntheticSpec",

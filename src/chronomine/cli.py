@@ -5,7 +5,8 @@ CSV), ``crossover`` (turn per-patient timelines into a self-controlled
 labeled dataset), ``generate`` (synthesize a planted-pattern dataset), and
 ``match`` (score chronicle JSON files against a dataset).
 
-Exit codes: 0 success (even with empty results), 1 input error, 2 bad
+Exit codes: 0 success (even with empty results), 1 input error (a
+malformed file, or one that cannot be read or written), 2 bad
 configuration.
 """
 
@@ -43,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--format", choices=cio.EXPORT_FORMATS, default="json")
     mine.add_argument("--output", default=None, help="output path (default stdout)")
     mine.add_argument("--seed", type=int, default=0, help="rule-learner split seed")
-    mine.add_argument(
-        "--strict-growth",
-        action="store_true",
-        help="require strictly greater growth in the constraint-free shortcut",
-    )
     mine.add_argument("--occurrence-cap", type=int, default=DEFAULT_OCCURRENCE_CAP)
     mine.set_defaults(func=_cmd_mine)
 
@@ -85,7 +81,6 @@ def _cmd_mine(args) -> int:
         max_size=args.max_size,
         occurrence_cap=args.occurrence_cap,
         seed=args.seed,
-        strict_growth=args.strict_growth,
     )
     results = dcm(dataset, config)
     cio.export(results, args.format, args.output)
@@ -124,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:

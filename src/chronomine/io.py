@@ -53,6 +53,18 @@ def _parse_event(path, lineno: int, sid: str, etype: str, raw_ts: str) -> Event:
     return Event(etype, timestamp)
 
 
+@contextmanager
+def _text_in(path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; a byte that does not decode is an
+    InputError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.start + 1].hex()
+            raise InputError(f"{path}: not UTF-8 text (byte 0x{bad}: {exc.reason})") from None
+
+
 def load_csv(path) -> SequenceDataset:
     """Read a labeled event CSV into a dataset.
 
@@ -62,7 +74,7 @@ def load_csv(path) -> SequenceDataset:
     """
     events: dict[str, list[Event]] = {}
     labels: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text_in(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != DATASET_HEADER:
@@ -121,7 +133,7 @@ def load_timeline_csv(path) -> dict[str, list[Event]]:
     Rows are checked as in ``load_csv``, with the line number in the error.
     """
     timelines: dict[str, list[Event]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text_in(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TIMELINE_HEADER:
@@ -170,18 +182,27 @@ def chronicle_to_obj(mined: MinedChronicle) -> dict:
     }
 
 
+def _position_from_json(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"item position must be an integer, got {value!r}")
+    return value
+
+
 def chronicle_from_obj(obj: Mapping) -> Chronicle:
     """Parse the JSON chronicle shape back into a Chronicle.
 
-    Supports (and growth) are ignored if present; they are recomputed by
-    whoever needs them.
+    ``items`` must be a list of strings and each constraint's ``from`` and
+    ``to`` integers.  Supports (and growth) are ignored if present; they
+    are recomputed by whoever needs them.
     """
     try:
-        items = tuple(str(x) for x in obj["items"])
+        items = obj["items"]
+        if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+            raise TypeError(f"items must be a list of strings, got {items!r}")
         raw = [
             (
-                int(c["from"]),
-                int(c["to"]),
+                _position_from_json(c["from"]),
+                _position_from_json(c["to"]),
                 _bound_from_json(c.get("lower"), -math.inf),
                 _bound_from_json(c.get("upper"), math.inf),
             )
@@ -195,15 +216,29 @@ def chronicle_from_obj(obj: Mapping) -> Chronicle:
         raise InputError(f"invalid chronicle: {exc}") from None
 
 
-def load_chronicles_json(path) -> list[Chronicle]:
-    """Read one chronicle object or a list of them from a JSON file."""
-    with open(path, encoding="utf-8") as fh:
+def load_json(path):
+    """The JSON value in a UTF-8 file; InputError naming the file if it is
+    not one."""
+    with _text_in(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
-    objs = data if isinstance(data, list) else [data]
-    return [chronicle_from_obj(o) for o in objs]
+
+
+def load_chronicles_json(path) -> list[Chronicle]:
+    """Read one chronicle object or a list of them from a JSON file; an
+    error names the file and, in a list, the chronicle's index."""
+    data = load_json(path)
+    listed = isinstance(data, list)
+    chronicles = []
+    for k, obj in enumerate(data if listed else [data]):
+        try:
+            chronicles.append(chronicle_from_obj(obj))
+        except InputError as exc:
+            where = f"{path}: chronicle {k}" if listed else path
+            raise InputError(f"{where}: {exc}") from None
+    return chronicles
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +272,8 @@ def render_csv(results: Iterable[MinedChronicle]) -> str:
 
 def render_dot(results: Iterable[MinedChronicle]) -> str:
     """One digraph per chronicle: nodes are event types, edges carry the
-    constraint interval; unconstrained pairs draw no edge."""
+    constraint interval; unconstrained pairs draw no edge.  A backslash or
+    double quote in an event type is escaped in its label."""
     lines = []
     for idx, m in enumerate(results):
         c = m.chronicle
@@ -248,7 +284,8 @@ def render_dot(results: Iterable[MinedChronicle]) -> str:
             f'  label="supp+={m.supp_pos} supp-={m.supp_neg} growth={growth}";'
         )
         for pos, etype in enumerate(c.items):
-            lines.append(f'  e{pos} [label="{etype}"];')
+            label = etype.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  e{pos} [label="{label}"];')
         for tc in c.constraints:
             lines.append(
                 f'  e{tc.from_index} -> e{tc.to_index} '

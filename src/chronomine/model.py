@@ -122,7 +122,8 @@ class TemporalConstraint:
 
     Semantics: the event mapped to position ``to_index`` must occur between
     ``lower`` and ``upper`` time units after the event mapped to
-    ``from_index`` (bounds may be infinite, negative values mean "before").
+    ``from_index`` (bounds may be infinite but not NaN, negative values
+    mean "before").
     Constraints are stored only on ordered pairs (from_index < to_index);
     the reversed direction is expressed by negating and swapping the bounds.
     """
@@ -140,6 +141,8 @@ class TemporalConstraint:
                 f"constraint must relate an earlier item position to a later one, "
                 f"got ({self.from_index}, {self.to_index})"
             )
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"NaN bound in [{self.lower}, {self.upper}]")
         if self.lower > self.upper:
             raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
 
@@ -258,25 +261,19 @@ class MinedChronicle:
         return growth_rate(self.supp_pos, self.supp_neg)
 
 
-def meets_growth(supp_pos: int, supp_neg: int, g_min: float, strict: bool = False) -> bool:
-    """The growth test of discriminancy: positive support at least (with
-    ``strict``, more than) g_min times negative support.
+def meets_growth(supp_pos: int, supp_neg: int, g_min: float) -> bool:
+    """The growth test of discriminancy: positive support at least g_min
+    times negative support.
 
     This is the one place the comparison is made; the shortcut, the
     learner's acceptance test and the emission of learned chronicles all
     call it.  It is a product, not a ratio, so it never divides: a
     ``growth_rate`` that rounds up to g_min does not pass it.
     """
-    if strict:
-        return supp_pos > g_min * supp_neg
     return supp_pos >= g_min * supp_neg
 
 
-def is_discriminant(
-    mined: MinedChronicle, sigma_min: int, g_min: float, strict: bool = False
-) -> bool:
+def is_discriminant(mined: MinedChronicle, sigma_min: int, g_min: float) -> bool:
     """True iff the pattern is frequent enough in positives (``sigma_min``)
     and passes ``meets_growth`` at ``g_min``."""
-    return mined.supp_pos >= sigma_min and meets_growth(
-        mined.supp_pos, mined.supp_neg, g_min, strict
-    )
+    return mined.supp_pos >= sigma_min and meets_growth(mined.supp_pos, mined.supp_neg, g_min)

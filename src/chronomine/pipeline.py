@@ -76,8 +76,8 @@ class DcmConfig:
 
     ``sigma_min`` below 1 is a fraction of the positive set (converted by
     ceiling); otherwise it is an absolute sequence count.  Both thresholds
-    must be finite.  ``strict_growth`` switches the constraint-free
-    shortcut test from >= to a strict >.
+    must be finite.  The shortcut and emission both decide with
+    ``is_discriminant`` at these thresholds.
     """
 
     sigma_min: float = 2
@@ -86,7 +86,6 @@ class DcmConfig:
     max_size: int | None = None
     occurrence_cap: int | None = DEFAULT_OCCURRENCE_CAP
     seed: int = 0
-    strict_growth: bool = False
 
     def __post_init__(self):
         for name, value in (("sigma_min", self.sigma_min), ("g_min", self.g_min)):
@@ -110,16 +109,6 @@ class DcmConfig:
         if self.sigma_min < 1:
             return max(1, math.ceil(self.sigma_min * n_positives))
         return max(1, math.ceil(self.sigma_min))
-
-
-def check_multiset_discriminancy(
-    multiset: tuple[str, ...], dataset: SequenceDataset, config: DcmConfig
-) -> bool:
-    """Whether the bare multiset already passes the growth comparison."""
-    supp_pos, supp_neg = TypeIndex(dataset).supports(multiset)
-    mined = MinedChronicle(Chronicle.unconstrained(sorted(multiset)), supp_pos, supp_neg)
-    # growth only: the support threshold is the miner's test
-    return is_discriminant(mined, 0, config.g_min, config.strict_growth)
 
 
 def _multiset_seed(base_seed: int, multiset: tuple[str, ...]) -> int:
@@ -234,7 +223,7 @@ def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[Mined
         index, sigma, config.min_size, config.max_size
     ):
         mined = MinedChronicle(Chronicle.unconstrained(multiset), supp_pos, supp_neg)
-        if is_discriminant(mined, sigma, config.g_min, config.strict_growth):
+        if is_discriminant(mined, sigma, config.g_min):
             results.append(mined)
         elif len(multiset) > 1:  # a singleton has no pair duration to constrain
             learned.append(multiset)

@@ -9,7 +9,9 @@ type's events, so the rows are built in closed form from the type index's
 timestamp arrays, in the order the matcher would yield them.  A
 sequential-covering learner (grow by FOIL information gain, prune by
 reduced error) induces interval rules for the positive class; each rule
-translates directly into a set of temporal constraints.
+translates directly into a set of temporal constraints.  Every round
+prunes: a table too small for a grow/prune split has no prune rows, so
+it keeps every condition it grew.
 
 The learner takes a batch of tables (``induce_rules_batch``); one table is
 a batch of one (``induce_rules``).  The tables with the same number of
@@ -326,14 +328,6 @@ class NumericalRule:
         return mask
 
 
-def row_growth(rule: NumericalRule, table: DurationTable) -> float:
-    """Row-level growth rate of a rule: covered positives / covered negatives."""
-    mask = rule.covers_mask(table)
-    p = int(np.count_nonzero(mask & table.labels))
-    n = int(np.count_nonzero(mask & ~table.labels))
-    return math.inf if n == 0 else p / n
-
-
 # ---------------------------------------------------------------------------
 # learning
 
@@ -497,7 +491,7 @@ class _Batch:
         return active & prune.take(self.gid)
 
     def accept(
-        self, ts: list[int], conditions: dict[int, list], prune: np.ndarray | None
+        self, ts: list[int], conditions: dict[int, list], prune: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Reduced-error pruning of the rules grown for tables ``ts``, and
         the rows the pruned rules cover.
@@ -524,7 +518,7 @@ class _Batch:
         side = 1 - direction  # which end of its interval a condition bounds
         keep = np.bincount(table, minlength=n_tables)
         longest = int(keep.max(initial=0))
-        if prune is not None and longest > 1:
+        if longest > 1:
             rows = prune.nonzero()[0]
             tab = self.row_table.take(rows)
             # condition k of table t: column[k, t] within bounds[:, k, t];
@@ -686,9 +680,7 @@ class _Batch:
         return found
 
 
-def _cover(
-    tables: list[DurationTable], g_min: float, seeds: list[int], prune: bool
-) -> list[list[tuple]]:
+def _cover(tables: list[DurationTable], g_min: float, seeds: list[int]) -> list[list[tuple]]:
     """Sequential covering of tables with the same columns, in lockstep.
 
     A round draws every table's grow/prune split (``_Batch.split``), grows
@@ -715,8 +707,8 @@ def _cover(
     covering = list(range(n_tables))
     while covering:
         active = (remaining | ~labels) & batch.rows_of(covering)
-        prune_rows = batch.split(covering, active, rngs) if prune else None
-        grow = active if prune_rows is None else active & ~prune_rows
+        prune_rows = batch.split(covering, active, rngs)
+        grow = active & ~prune_rows
         p0 = batch.per_table(grow & labels).tolist()
         n0 = (batch.per_table(grow) - p0).tolist()
         conditions: dict[int, list] = {t: [] for t in covering}
@@ -765,9 +757,7 @@ def _cover(
     return found
 
 
-def _induce(
-    tables: list[DurationTable], g_min: float, seeds: list[int], prune: bool
-) -> list[list[tuple]]:
+def _induce(tables: list[DurationTable], g_min: float, seeds: list[int]) -> list[list[tuple]]:
     """Each table's rules as ``_cover`` returns them, the tables learned in
     one ``_cover`` per column count; a table with no positive row learns
     none."""
@@ -777,17 +767,14 @@ def _induce(
         if table.labels.any():
             by_width.setdefault(len(table.pairs), []).append(k)
     for ks in by_width.values():
-        learned = _cover([tables[k] for k in ks], g_min, [seeds[k] for k in ks], prune)
+        learned = _cover([tables[k] for k in ks], g_min, [seeds[k] for k in ks])
         for k, rules in zip(ks, learned):
             found[k] = rules
     return found
 
 
 def induce_rules_batch(
-    tables: Iterable[DurationTable],
-    g_min: float,
-    seeds: Iterable[int],
-    prune: bool = True,
+    tables: Iterable[DurationTable], g_min: float, seeds: Iterable[int]
 ) -> list[list[NumericalRule]]:
     """``induce_rules`` on several tables at once: each table's rules, the
     same as it gets alone with its seed.
@@ -800,7 +787,7 @@ def induce_rules_batch(
     calls for the whole batch, not a few per table.  The arrays hold all
     the tables at once, so callers bound how many.
     """
-    found = _induce(list(tables), g_min, list(seeds), prune)
+    found = _induce(list(tables), g_min, list(seeds))
     return [[NumericalRule(rule) for rule, *_ in rules] for rules in found]
 
 
@@ -812,7 +799,7 @@ def induce_chronicles(
     sigma: int,
 ) -> list[MinedChronicle]:
     """The discriminant chronicles among the tables' rules, as
-    ``induce_rules_batch`` learns them with pruning: those that pass
+    ``induce_rules_batch`` learns them: those that pass
     ``is_discriminant`` at ``sigma`` and ``g_min`` at sequence level, in
     table order.  The tables must be built from ``dataset``.
 
@@ -826,7 +813,7 @@ def induce_chronicles(
     tables = list(tables)
     sequences = dataset.sequences
     out = []
-    for table, found in zip(tables, _induce(tables, g_min, list(seeds), True)):
+    for table, found in zip(tables, _induce(tables, g_min, list(seeds))):
         for rule, supp_pos, supp_neg, unresolved in found:
             if not unresolved and (supp_pos < sigma or not meets_growth(supp_pos, supp_neg, g_min)):
                 continue  # the supports are final: no need to build the chronicle
@@ -843,23 +830,18 @@ def induce_chronicles(
     return out
 
 
-def induce_rules(
-    table: DurationTable,
-    g_min: float,
-    seed: int = 0,
-    prune: bool = True,
-) -> list[NumericalRule]:
+def induce_rules(table: DurationTable, g_min: float, seed: int = 0) -> list[NumericalRule]:
     """Sequential covering over the duration table.
 
-    Each accepted rule is grown by FOIL gain (optionally reduced-error
-    pruned) and its covered rows of the full table must pass
+    Each accepted rule is grown by FOIL gain, then pruned by reduced
+    error, and its covered rows of the full table must pass
     ``meets_growth`` at g_min; covered positive rows are removed between
     rules.  The support threshold is not applied here: it is enforced at
     sequence level after reevaluation.  Degenerate tables: all-positive rows
     yield the single unconstrained rule, all-negative (or empty) tables
     yield nothing.  This is a batch of one of ``induce_rules_batch``.
     """
-    return induce_rules_batch([table], g_min, [seed], prune)[0]
+    return induce_rules_batch([table], g_min, [seed])[0]
 
 
 def translate(rule: NumericalRule, multiset: Iterable[str]) -> Chronicle:

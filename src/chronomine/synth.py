@@ -11,13 +11,12 @@ stuck.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, InputError
-from .io import chronicle_from_obj
+from .io import chronicle_from_obj, load_json
 from .model import NEGATIVE, POSITIVE, Chronicle, Event, Sequence, SequenceDataset
 
 
@@ -154,11 +153,7 @@ def load_spec_json(path) -> SyntheticSpec:
                                                       "lower": 10, "upper": 20}]},
                        "p_pos": 0.8, "p_neg": 0.05}]}
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON ({exc})") from None
+    data = load_json(path)
     try:
         patterns = tuple(
             PlantedPattern(

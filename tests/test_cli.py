@@ -83,6 +83,26 @@ class TestMine:
     def test_missing_input_is_exit_1(self, tmp_path):
         assert main(["mine", "--input", str(tmp_path / "nope.csv")]) == 1
 
+    def test_directory_as_input_or_output_is_exit_1(self, dataset_csv, tmp_path, capsys):
+        assert main(["mine", "--input", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["mine", "--input", str(dataset_csv), "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_input_that_is_not_utf8_is_exit_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"sid,event,timestamp,label\ns,caf\xe9,1,+\n")
+        assert main(["mine", "--input", str(path)]) == 1
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_strict_growth_flag_is_gone(self, dataset_csv, capsys):
+        with pytest.raises(SystemExit):
+            main(["mine", "--help"])
+        assert "--strict-growth" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "--input", str(dataset_csv), "--strict-growth"])
+        assert exc.value.code == 2
+
     def test_bad_growth_is_exit_2(self, dataset_csv):
         assert main(["mine", "--input", str(dataset_csv), "--min-growth", "0.5"]) == 2
 
@@ -169,6 +189,12 @@ class TestGenerateAndMatch:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{")
         assert main(["generate", "--spec", str(spec_path)]) == 1
+
+    def test_malformed_chronicle_json_is_exit_1(self, dataset_csv, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"items": ["A", "B"]}, {"items": "AB"}]))
+        assert main(["match", str(path), "--input", str(dataset_csv)]) == 1
+        assert f"error: {path}: chronicle 1: " in capsys.readouterr().err
 
     def test_infeasible_spec_is_exit_2(self, tmp_path):
         bad = dict(SPEC)

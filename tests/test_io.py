@@ -101,6 +101,12 @@ class TestLoadCsv:
         with pytest.raises(InputError, match=r"bad\.csv:3: "):
             load_csv(path)
 
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"sid,event,timestamp,label\ns,caf\xe9,1,+\n")
+        with pytest.raises(InputError, match=r"latin1\.csv: not UTF-8 text \(byte 0xe9"):
+            load_csv(path)
+
 
 class TestLoadTimelineCsv:
     def test_rows_grouped_by_sid(self, tmp_path):
@@ -114,6 +120,12 @@ class TestLoadTimelineCsv:
         path = tmp_path / "bad.csv"
         path.write_text("sid,event,timestamp\ns,A,1\n" + ",".join(fields) + "\n")
         with pytest.raises(InputError, match=r"bad\.csv:3: "):
+            load_timeline_csv(path)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"sid,event,timestamp\ns,\xff,1\n")
+        with pytest.raises(InputError, match=r"bad\.csv: not UTF-8 text"):
             load_timeline_csv(path)
 
 
@@ -155,6 +167,12 @@ class TestRender:
         assert text.count("[label=") == 5 + 5  # 5 nodes + 5 constraint edges
         assert "e2 -> e3" in text
 
+    def test_dot_escapes_quotes_and_backslashes_in_labels(self):
+        mined = MinedChronicle(Chronicle.unconstrained(('a"b', "c\\")), 2, 1)
+        text = render_dot([mined])
+        assert 'e0 [label="a\\"b"];' in text
+        assert 'e1 [label="c\\\\"];' in text
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
             render([], "yaml")
@@ -190,6 +208,39 @@ class TestChronicleJson:
             chronicle_from_obj({"constraints": []})
         with pytest.raises(InputError):
             chronicle_from_obj({"items": ["B", "A"]})
+
+    @pytest.mark.parametrize("items", ["AB", ["A", 1], {"A": 1}, None])
+    def test_items_must_be_a_list_of_strings(self, items):
+        with pytest.raises(InputError, match="items must be a list of strings"):
+            chronicle_from_obj({"items": items})
+
+    @pytest.mark.parametrize("position", [1.7, 1.0, "1", True, None])
+    def test_positions_must_be_integers(self, position):
+        constraint = {"from": 0, "to": position, "lower": 1, "upper": 2}
+        with pytest.raises(InputError, match="item position must be an integer"):
+            chronicle_from_obj({"items": ["A", "B"], "constraints": [constraint]})
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    @pytest.mark.parametrize("value", ["nan", math.nan])
+    def test_nan_bound_rejected(self, bound, value):
+        constraint = {"from": 0, "to": 1, bound: value}
+        with pytest.raises(InputError, match="NaN bound"):
+            chronicle_from_obj({"items": ["A", "B"], "constraints": [constraint]})
+
+    def test_error_names_the_file_and_the_chronicle_index(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"items": ["A", "B"]}, {"items": "AB"}]))
+        with pytest.raises(InputError, match=r"c\.json: chronicle 1: malformed"):
+            load_chronicles_json(path)
+        path.write_text(json.dumps({"items": ["B", "A"]}))
+        with pytest.raises(InputError, match=r"c\.json: invalid chronicle"):
+            load_chronicles_json(path)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"items": ["\xff"]}')
+        with pytest.raises(InputError, match=r"c\.json: not UTF-8 text"):
+            load_chronicles_json(path)
 
 
 class TestCrossover:

@@ -165,7 +165,7 @@ def oracle_merge_conditions(conditions, pairs):
     )
 
 
-def oracle_induce_rules(table, g_min, seed=0, prune=True):
+def oracle_induce_rules(table, g_min, seed=0):
     labels = table.labels
     n_pos = int(np.count_nonzero(labels))
     n_neg = len(labels) - n_pos
@@ -181,7 +181,7 @@ def oracle_induce_rules(table, g_min, seed=0, prune=True):
     rules = []
     while np.count_nonzero(remaining) > 0:
         active = remaining | ~labels
-        split = oracle_split_rows(table.sids, labels, active, rng) if prune else None
+        split = oracle_split_rows(table.sids, labels, active, rng)
         if split is None:
             grow_mask, prune_mask = active, None
         else:
@@ -326,11 +326,10 @@ def exact_gain(table, covered, found):
     table=duration_tables(),
     g_min=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     seed=st.integers(0, 2**16),
-    prune=st.booleans(),
 )
-def test_induce_rules_matches_oracle(table, g_min, seed, prune):
-    got = induce_rules(table, g_min, seed=seed, prune=prune)
-    assert got == oracle_induce_rules(table, g_min, seed=seed, prune=prune)
+def test_induce_rules_matches_oracle(table, g_min, seed):
+    got = induce_rules(table, g_min, seed=seed)
+    assert got == oracle_induce_rules(table, g_min, seed=seed)
 
 
 @BOUNDED
@@ -338,13 +337,11 @@ def test_induce_rules_matches_oracle(table, g_min, seed, prune):
 def test_induce_rules_batch_matches_oracle(tables, data):
     g_min = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=len(tables), max_size=len(tables)))
-    for prune in (True, False):
-        got = induce_rules_batch(tables, g_min, seeds, prune=prune)
-        assert got == [
-            oracle_induce_rules(table, g_min, seed=seed, prune=prune)
-            for table, seed in zip(tables, seeds)
-        ]
-        assert induce_rules_batch(tables[::-1], g_min, seeds[::-1], prune=prune) == got[::-1]
+    got = induce_rules_batch(tables, g_min, seeds)
+    assert got == [
+        oracle_induce_rules(table, g_min, seed=seed) for table, seed in zip(tables, seeds)
+    ]
+    assert induce_rules_batch(tables[::-1], g_min, seeds[::-1]) == got[::-1]
 
 
 @BOUNDED
@@ -428,9 +425,10 @@ def test_batched_pruning_and_acceptance_match_reference(size, data):
     )
     ts = sorted(data.draw(st.sets(st.sampled_from(range(len(tables))), min_size=1)))
     conditions = {t: data.draw(st.lists(condition, min_size=1, max_size=4)) for t in ts}
-    prune = None
+    # no prune row, as for a table too small to split, keeps every condition
+    n = len(batch.labels)
+    prune = np.zeros(n, dtype=bool)
     if data.draw(st.booleans()):
-        n = len(batch.labels)
         prune = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     keep, bounds, used, covered = batch.accept(ts, conditions, prune)
     for t, table in enumerate(tables):
@@ -438,9 +436,7 @@ def test_batched_pruning_and_acceptance_match_reference(size, data):
         if t not in ts:
             assert not covered[rows].any()
             continue
-        kept = conditions[t]
-        if prune is not None:
-            kept = oracle_prune(kept, table.durations[prune[rows]], table.labels[prune[rows]])
+        kept = oracle_prune(conditions[t], table.durations[prune[rows]], table.labels[prune[rows]])
         assert keep[t] == len(kept)
         rule = oracle_merge_conditions(kept, table.pairs)
         assert (covered[rows] == rule.covers_mask(table)).all()

@@ -86,7 +86,7 @@ class TestIsDiscriminant:
         assert not meets_growth(55, 50, 1.1)
         assert not is_discriminant(self._mined(55, 50), sigma_min=1, g_min=1.1)
         assert meets_growth(56, 50, 1.1) and meets_growth(0, 0, 5)
-        assert meets_growth(4, 2, 2) and not meets_growth(4, 2, 2, strict=True)
+        assert meets_growth(4, 2, 2)
 
 
 class TestTemporalConstraint:
@@ -112,6 +112,13 @@ class TestTemporalConstraint:
     def test_infinite_bounds_allowed(self):
         tc = TemporalConstraint(0, 1, -math.inf, 5)
         assert tc.lower == -math.inf
+
+    @pytest.mark.parametrize("bounds", [(math.nan, 5), (0, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan_bound(self, bounds):
+        with pytest.raises(ValueError, match="NaN bound"):
+            TemporalConstraint(0, 1, *bounds)
+        with pytest.raises(ValueError, match="NaN bound"):
+            Chronicle.build(("A", "B"), [(1, 0, *bounds)])
 
 
 class TestSequence:

@@ -97,7 +97,6 @@ def test_size_bounds_and_threshold(reference_dataset):
     [
         DcmConfig(sigma_min=2, g_min=2.0),
         DcmConfig(sigma_min=1, g_min=1.5, min_size=1, max_size=3),
-        DcmConfig(sigma_min=1, g_min=2.0, strict_growth=True),
     ],
 )
 def test_dcm_needs_neither_the_reference_miner_nor_a_supports_recount(

@@ -1,0 +1,20 @@
+import dataclasses
+
+import chronomine
+import chronomine.pipeline as pipeline
+import chronomine.rules as rules
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in chronomine.__all__ if not hasattr(chronomine, name)]
+    assert missing == []
+    assert len(set(chronomine.__all__)) == len(chronomine.__all__)
+
+
+def test_removed_names_are_gone():
+    for name in ("check_multiset_discriminancy", "row_growth"):
+        assert name not in chronomine.__all__
+        assert not hasattr(chronomine, name)
+    assert not hasattr(pipeline, "check_multiset_discriminancy")
+    assert not hasattr(rules, "row_growth")
+    assert "strict_growth" not in {f.name for f in dataclasses.fields(chronomine.DcmConfig)}

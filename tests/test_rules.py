@@ -13,7 +13,8 @@ from chronomine import (
     translate,
 )
 from chronomine.matcher import OccurrenceCapWarning
-from chronomine.rules import DurationTable, attribute_names, row_growth
+from chronomine.model import meets_growth
+from chronomine.rules import DurationTable, attribute_names
 
 from conftest import brute_force_support, make_sequence
 
@@ -138,8 +139,10 @@ class TestInduceRules:
         assert rules
         for rule in rules:
             mask = rule.covers_mask(table)
-            assert int(np.count_nonzero(mask & labels)) >= 1
-            assert row_growth(rule, table) >= g_min
+            p = int(np.count_nonzero(mask & labels))
+            n = int(np.count_nonzero(mask & ~labels))
+            assert p >= 1
+            assert meets_growth(p, n, g_min)
 
     def test_deterministic_under_seed(self, duration_fixture):
         a = induce_rules(duration_fixture, g_min=1.0, seed=3)
