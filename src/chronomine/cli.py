@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import io as cio
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .matcher import DEFAULT_OCCURRENCE_CAP
 from .pipeline import DcmConfig, dcm
 from .rules import reevaluate
@@ -116,16 +116,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except ConfigError as exc:  # a ValueError, so it is caught first
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # InputError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

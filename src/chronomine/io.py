@@ -160,7 +160,12 @@ def _bound_to_json(value: float):
 def _bound_from_json(value, default: float) -> float:
     if value is None:
         return default
-    return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"a bound must be null or a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"bound {value} is out of range") from None
 
 
 def chronicle_to_obj(mined: MinedChronicle) -> dict:

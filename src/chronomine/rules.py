@@ -345,8 +345,10 @@ _SHORTLIST = 1e-9
 class _Batch:
     """Tables with the same columns, learned together as one segmented table.
 
-    The tables' rows are stacked, table after table, in ``values`` and
-    ``labels``: table ``t`` owns rows ``start[t]`` up to ``stop[t]``.
+    The tables' rows are stacked, table after table, in ``labels`` and in
+    ``columns``, a C-contiguous (columns x rows) array: table ``t`` owns
+    rows ``start[t]`` up to ``stop[t]``, and the value of row ``r`` in
+    column ``c`` is ``columns[c, r]``, flat cell ``c * len(labels) + r``.
     ``covered`` marks the rows covered by the conditions grown so far.
     ``order`` has one row per column, which lists each table's rows in turn,
     ascending by that column's value and, among equal values, negatives
@@ -355,10 +357,11 @@ class _Batch:
     A grow step filters ``order`` by ``covered``.  Every column keeps the
     same rows, so each column of the result holds one segment per table,
     and a segment's length is its table's covered row count: the segment
-    bounds come from those counts, with no per-entry segment id.  The step
-    reads a working set of tables, rebuilt when the tables it serves hold
-    at most half of the set's rows; a table outside the step covers no row,
-    so it adds nothing to the filtered arrays.
+    bounds come from those counts, with no per-entry segment id.  Between
+    two ``cover`` calls rows only leave ``covered``, so a step filters the
+    entries the step before it kept; ``cover`` starts again from all of
+    ``order``.  A table outside the step covers no row, so it adds nothing
+    to the filtered arrays.
 
     The rest of a covering round also serves all the tables at once.  Row
     ``r`` belongs to table ``row_table[r]`` and to group ``gid[r]``, the
@@ -375,30 +378,19 @@ class _Batch:
         lengths = [len(table) for table in tables]
         self.stop = np.cumsum(lengths).tolist()
         self.start = [stop - n for stop, n in zip(self.stop, lengths)]
-        if len(tables) == 1:
-            self.values, self.labels = tables[0].durations, tables[0].labels
+        if len(tables) == 1:  # no copy of an F-ordered table's durations
+            self.columns = np.ascontiguousarray(tables[0].durations.T)
+            self.labels = tables[0].labels
         else:
-            self.values = np.concatenate([table.durations for table in tables])
+            self.columns = np.concatenate([table.durations.T for table in tables], axis=1)
             self.labels = np.concatenate([table.labels for table in tables])
         order = []
-        for table, start in zip(tables, self.start):
-            by_label = np.argsort(table.labels, kind="stable")
-            rows = by_label[np.argsort(table.durations[by_label].T, axis=1, kind="stable")]
-            rows += start
-            order.append(rows)
+        for start, stop in zip(self.start, self.stop):
+            by_label = start + np.argsort(self.labels[start:stop], kind="stable")
+            order.append(by_label[np.argsort(self.columns[:, by_label], axis=1, kind="stable")])
         self.order = order[0] if len(tables) == 1 else np.concatenate(order, axis=1)
         self.row_table = np.repeat(np.arange(len(tables)), lengths)
-        # the values in memory order, with no copy of a table's C- or
-        # F-ordered durations: row r, column c is cell r * steps[0] + c * steps[1]
-        if not (self.values.flags.c_contiguous or self.values.flags.f_contiguous):
-            self.values = np.ascontiguousarray(self.values)
-        self._cells = self.values.ravel(order="K")
-        steps = [stride // self.values.itemsize for stride in self.values.strides]
-        self._row_step, self._column_step = steps
-        self._column_cells = np.arange(self.width)[:, None] * steps[1]
-        self.covered = np.zeros(len(self.labels), dtype=bool)
-        self._work = list(range(len(tables)))
-        self._work_order = self.order.ravel()
+        self.cover(np.zeros(len(self.labels), dtype=bool))
 
         seq = np.concatenate([table.seq_index for table in tables]).astype(np.int64)
         n_seq = int(seq.max(initial=0)) + 1
@@ -421,6 +413,12 @@ class _Batch:
             return x[..., 0] if x.ndim == 1 else x[..., :1]
         return x.take(self.row_table if tables is None else tables, axis=-1)
 
+    def cover(self, rows: np.ndarray) -> None:
+        """Cover the rows in the ``rows`` mask, which the batch then owns,
+        and filter the next grow step from all of ``order``."""
+        self.covered = rows
+        self._step = self.order.ravel()
+
     def uncover(self, t: int) -> None:
         """Cover none of the rows of table ``t``."""
         self.covered[self.start[t] : self.stop[t]] = False
@@ -433,7 +431,7 @@ class _Batch:
         """The rows of tables ``ts`` whose value in each column c lies in
         the interval ``bounds[:, c, t]`` (low, high) of their table t."""
         inside = np.broadcast_to(self.rows_of(ts), self.labels.shape).copy()
-        for values, lo, hi in zip(self.values.T, *bounds):
+        for values, lo, hi in zip(self.columns, *bounds):
             if (lo > -math.inf).any():
                 inside &= values >= self.per_row(lo)
             if (hi < math.inf).any():
@@ -442,7 +440,7 @@ class _Batch:
 
     def restrict(self, t: int, column: int, direction: int, threshold: float) -> None:
         """Uncover the rows of table ``t`` that fail a threshold condition."""
-        values = self.values[self.start[t] : self.stop[t], column]
+        values = self.columns[column, self.start[t] : self.stop[t]]
         keep = values <= threshold if direction == _LE else values >= threshold
         self.covered[self.start[t] : self.stop[t]] &= keep
 
@@ -525,10 +523,10 @@ class _Batch:
             # the padding (-inf, inf) holds for every row
             bounds = np.full((2, longest, n_tables), [[[-math.inf]], [[math.inf]]])
             bounds[side, order, table] = threshold
-            columns = np.zeros((longest, n_tables), dtype=np.intp)
-            columns[order, table] = column
-            cells = self.per_row(columns * self._column_step, tab) + rows * self._row_step
-            values = self._cells.take(cells)
+            column_of = np.zeros((longest, n_tables), dtype=np.intp)
+            column_of[order, table] = column
+            cells = self.per_row(column_of * len(self.labels), tab) + rows
+            values = self.columns.take(cells)
             lo, hi = self.per_row(bounds, tab)
             meets = np.logical_and.accumulate((values >= lo) & (values <= hi), axis=0)
             lead = meets.sum(axis=0)
@@ -577,23 +575,13 @@ class _Batch:
         or None when no condition gains.
         """
         width = self.width
-        if ts != self._work:
-            served = sum(self.stop[t] - self.start[t] for t in ts) * width
-            if not set(ts) <= set(self._work) or 2 * served <= len(self._work_order):
-                self._work = list(ts)
-                self._work_order = np.concatenate(
-                    [self.order[:, self.start[t] : self.stop[t]] for t in ts], axis=1
-                ).ravel()
         # the covered entries of every column, in value order; take and
         # compress, because indexing with a boolean mask is several times slower
-        rows = self._work_order.compress(self.covered.take(self._work_order))
+        rows = self._step = self._step.compress(self.covered.take(self._step))
         labs = self.labels.take(rows)
-        if width > 1:  # turn the rows into the cells of their columns
-            cells = rows.reshape(width, -1)
-            cells *= self._row_step
-            cells += self._column_cells
-        vals = self._cells.take(rows)
-        del rows
+        cells = rows.reshape(width, -1) + np.arange(width)[:, None] * len(self.labels)
+        vals = self.columns.take(cells).ravel()
+        del cells
 
         n_tables = len(ts)
         sizes = [p + n for p, n in zip(p0, n0)]  # each table's segment length
@@ -713,7 +701,7 @@ def _cover(tables: list[DurationTable], g_min: float, seeds: list[int]) -> list[
         n0 = (batch.per_table(grow) - p0).tolist()
         conditions: dict[int, list] = {t: [] for t in covering}
         growing = [t for t in covering if p0[t] and n0[t]]
-        batch.covered = grow & batch.rows_of(growing)
+        batch.cover(grow & batch.rows_of(growing))
         while growing:
             still = []
             step = batch.best(growing, [p0[t] for t in growing], [n0[t] for t in growing])

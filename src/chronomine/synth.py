@@ -50,6 +50,8 @@ class SyntheticSpec:
             raise ConfigError("noise_events must be non-negative")
         if self.noise_events > 0 and not self.noise_types:
             raise ConfigError("noise_events > 0 needs a non-empty noise alphabet")
+        if not -math.inf < self.horizon < math.inf:  # also false for NaN
+            raise ConfigError(f"horizon must be finite, got {self.horizon}")
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         object.__setattr__(self, "patterns", tuple(self.patterns))

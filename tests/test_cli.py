@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -195,6 +196,13 @@ class TestGenerateAndMatch:
         path.write_text(json.dumps([{"items": ["A", "B"]}, {"items": "AB"}]))
         assert main(["match", str(path), "--input", str(dataset_csv)]) == 1
         assert f"error: {path}: chronicle 1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_is_exit_2(self, tmp_path, capsys, horizon):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC, "horizon": horizon}))
+        assert main(["generate", "--spec", str(spec_path)]) == 2
+        assert "horizon must be finite" in capsys.readouterr().err
 
     def test_infeasible_spec_is_exit_2(self, tmp_path):
         bad = dict(SPEC)

@@ -221,10 +221,22 @@ class TestChronicleJson:
             chronicle_from_obj({"items": ["A", "B"], "constraints": [constraint]})
 
     @pytest.mark.parametrize("bound", ["lower", "upper"])
-    @pytest.mark.parametrize("value", ["nan", math.nan])
+    @pytest.mark.parametrize("value", [math.nan])
     def test_nan_bound_rejected(self, bound, value):
         constraint = {"from": 0, "to": 1, bound: value}
         with pytest.raises(InputError, match="NaN bound"):
+            chronicle_from_obj({"items": ["A", "B"], "constraints": [constraint]})
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    @pytest.mark.parametrize("value", [True, "7", "inf", "nan"])
+    def test_bound_must_be_a_number(self, bound, value):
+        constraint = {"from": 0, "to": 1, bound: value}
+        with pytest.raises(InputError, match="a bound must be null or a number"):
+            chronicle_from_obj({"items": ["A", "B"], "constraints": [constraint]})
+
+    def test_integer_bound_beyond_float_range_rejected(self):
+        constraint = {"from": 0, "to": 1, "upper": 10**400}
+        with pytest.raises(InputError, match="out of range"):
             chronicle_from_obj({"items": ["A", "B"], "constraints": [constraint]})
 
     def test_error_names_the_file_and_the_chronicle_index(self, tmp_path):

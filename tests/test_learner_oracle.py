@@ -280,17 +280,27 @@ def table_batches(draw):
     return tables
 
 
-def segmented_best(tables, covered):
+def covering_batch(tables, covered):
+    """A batch of ``tables`` that covers the masks ``covered`` of the
+    tables that cover a positive row, as the learner covers its grow rows."""
+    batch = _Batch(tables)
+    batch.cover(np.concatenate([c & (c & t.labels).any() for t, c in zip(tables, covered)]))
+    return batch
+
+
+def segmented_best(tables, covered, batch=None):
     """One ``_Batch.best`` step over tables of equal width, each with its
     own covered row mask; per table (gain, p1, column, direction,
     threshold) or None.  As in the learner, only tables that cover a
-    positive row take part, and n1 is checked against a recount."""
-    batch = _Batch(tables)
+    positive row take part, and n1 is checked against a recount.  The step
+    runs on a new ``covering_batch``, or on ``batch``, which must already
+    cover just those masks."""
+    if batch is None:
+        batch = covering_batch(tables, covered)
     ts, p0, n0 = [], [], []
     for t, (table, cov) in enumerate(zip(tables, covered)):
         p = int(np.count_nonzero(cov & table.labels))
         if p:
-            batch.covered[batch.start[t] : batch.stop[t]] = cov
             ts.append(t)
             p0.append(p)
             n0.append(int(np.count_nonzero(cov & ~table.labels)))
@@ -361,6 +371,54 @@ def test_best_condition_matches_oracle_bitwise(size, data):
         assert found == expected
         if found is not None:
             assert found[0].hex() == exact_gain(table, cov, found).hex()
+
+
+@BOUNDED
+@given(size=st.integers(2, 4), data=st.data())
+def test_grow_step_after_restrict_matches_a_new_batch(size, data):
+    # the second step filters the entries the first one kept; it must find
+    # what a new batch finds from the narrowed masks
+    tables = data.draw(st.lists(duration_tables(size=size), min_size=1, max_size=4))
+    covered = [
+        np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))), dtype=bool)
+        for t in tables
+    ]
+    batch = covering_batch(tables, covered)
+    first = segmented_best(tables, covered, batch)
+    narrowed = []
+    for t, (table, cov, found) in enumerate(zip(tables, covered, first)):
+        if found is None:
+            batch.uncover(t)
+            narrowed.append(np.zeros_like(cov))
+            continue
+        _, _, col, direction, threshold = found
+        batch.restrict(t, col, direction, threshold)
+        column = table.durations[:, col]
+        narrowed.append(cov & (column <= threshold if direction == _LE else column >= threshold))
+    assert (batch.covered == np.concatenate(narrowed)).all()
+    assert segmented_best(tables, narrowed, batch) == segmented_best(tables, narrowed)
+
+
+@BOUNDED
+@given(table=duration_tables(size=3), seed=st.integers(0, 2**16))
+def test_rules_do_not_depend_on_the_durations_layout(table, seed):
+    # a table learned alone is read in place when F-ordered, as tables are
+    # built, and copied when C-ordered or a strided view
+    durations = table.durations
+    padded = np.zeros((2 * len(table), 2 * durations.shape[1]))
+    padded[::2, ::2] = durations
+    got = []
+    for layout in (np.ascontiguousarray(durations), np.asfortranarray(durations), padded[::2, ::2]):
+        copy = DurationTable(
+            multiset=table.multiset,
+            sids=table.sids,
+            durations=layout,
+            labels=table.labels,
+            seq_index=table.seq_index,
+        )
+        assert copy.durations.strides == layout.strides
+        got.append(induce_rules(copy, 1.5, seed=seed))
+    assert got[0] == got[1] == got[2] == oracle_induce_rules(table, 1.5, seed=seed)
 
 
 @BOUNDED

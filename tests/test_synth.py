@@ -131,6 +131,11 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="unsatisfiable"):
             generate_synthetic(spec, seed=0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigError, match="horizon must be finite"):
+            simple_spec(horizon=horizon)
+
     def test_bad_probability_rejected(self):
         with pytest.raises(ConfigError):
             PlantedPattern(Chronicle.unconstrained(("A",)), 1.5, 0.0)
