@@ -157,15 +157,25 @@ def _bound_to_json(value: float):
     return None if math.isinf(value) else value
 
 
+def json_number(value, what: str, kind: type = float):
+    """A JSON number as ``kind``: int takes only an integer, float any
+    number, and a bool is neither.  Otherwise a TypeError naming ``what``,
+    and a ValueError for an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        expected = "an integer" if kind is int else "a number"
+        raise TypeError(f"{what} must be {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{what} {value} is out of range") from None
+
+
 def _bound_from_json(value, default: float) -> float:
     if value is None:
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"a bound must be null or a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"bound {value} is out of range") from None
+    return json_number(value, "bound")
 
 
 def chronicle_to_obj(mined: MinedChronicle) -> dict:
@@ -187,12 +197,6 @@ def chronicle_to_obj(mined: MinedChronicle) -> dict:
     }
 
 
-def _position_from_json(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"item position must be an integer, got {value!r}")
-    return value
-
-
 def chronicle_from_obj(obj: Mapping) -> Chronicle:
     """Parse the JSON chronicle shape back into a Chronicle.
 
@@ -206,8 +210,8 @@ def chronicle_from_obj(obj: Mapping) -> Chronicle:
             raise TypeError(f"items must be a list of strings, got {items!r}")
         raw = [
             (
-                _position_from_json(c["from"]),
-                _position_from_json(c["to"]),
+                json_number(c["from"], "item position", int),
+                json_number(c["to"], "item position", int),
                 _bound_from_json(c.get("lower"), -math.inf),
                 _bound_from_json(c.get("upper"), math.inf),
             )

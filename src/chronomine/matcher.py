@@ -105,12 +105,6 @@ class TypeIndex:
             held &= count >= multiset.count(etype)
         return held.nonzero()[0]
 
-    def supports(self, multiset: Iterable[str]) -> tuple[int, int]:
-        """(positive, negative) support of the constraint-free chronicle."""
-        held = self.containing(multiset)
-        supp_pos = int(np.count_nonzero(held < self.n_pos))
-        return supp_pos, len(held) - supp_pos
-
 
 def _search(
     chronicle: Chronicle, sequence: Sequence

@@ -18,15 +18,11 @@ frequent multisets are mined straight from that index
 (``frequent_multisets``), each with its positive and negative support, so
 ``dcm`` applies the shortcut to those supports with no recount: only the
 multisets that are not discriminant alone go on to learning.  Their duration
-tables are built in order and learned in batches, flushed at
-``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells: batching shares numpy's
-per-call cost among many small tables, since each step of a covering round
-(the grow/prune split, each grow step, the pruning and the acceptance test)
-serves a whole batch, and the bounds cap the memory a batch holds, with a
-larger table learned alone.  Each learned rule is re-scored from the rows
-its acceptance test covered, with the matcher only as the fallback for
-sequences the occurrence cap truncated, and only a rule that passes both
-thresholds becomes a chronicle.  With ``CHRONOMINE_THREADS``
+tables are built in order, one at a time as the learner reads them, and
+the learner groups them into batches (see ``rules``).  Each learned rule is
+re-scored from the rows its acceptance test covered, with the matcher only
+as the fallback for sequences the occurrence cap truncated, and only a rule
+that passes both thresholds becomes a chronicle.  With ``CHRONOMINE_THREADS``
 above 1, a process pool maps that learning over contiguous slices of the
 learned multisets, ``SLICES_PER_WORKER`` per worker.
 
@@ -39,6 +35,7 @@ covered, so no two output chronicles are equal.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 import zlib
@@ -49,7 +46,7 @@ from .errors import ConfigError
 from .itemsets import frequent_multisets
 from .matcher import DEFAULT_OCCURRENCE_CAP, TypeIndex
 from .model import Chronicle, MinedChronicle, SequenceDataset, is_discriminant
-from .rules import DurationTable, build_duration_table, induce_chronicles
+from .rules import build_duration_table, induce_chronicles
 
 # not called: perfbench's tracer wraps these names here
 from .itemsets import decode_to_multisets, encode, mine_frequent_itemsets
@@ -61,13 +58,6 @@ THREADS_ENV_VAR = "CHRONOMINE_THREADS"
 #: The pool maps over contiguous slices of the learned multisets, this many
 #: per worker, so that a slow slice can be balanced by the others.
 SLICES_PER_WORKER = 4
-#: A batch of duration tables holds at most this many tables, and no more
-#: cells (rows x columns) than this unless it is one table.  Learning
-#: small tables together shares numpy's per-call cost among them; the bounds
-#: cap what a batch holds at once (its tables, their presorted columns and a
-#: ``random.Random`` each), and a large table is learned alone, with no copy.
-BATCH_TABLES = 64
-BATCH_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,9 @@ class DcmConfig:
     ``sigma_min`` below 1 is a fraction of the positive set (converted by
     ceiling); otherwise it is an absolute sequence count.  Both thresholds
     must be finite.  The shortcut and emission both decide with
-    ``is_discriminant`` at these thresholds.
+    ``is_discriminant`` at these thresholds.  ``min_size``, ``max_size``,
+    ``occurrence_cap`` and ``seed`` are integers (a numpy integer is stored
+    as an int; a bool is not one).
     """
 
     sigma_min: float = 2
@@ -95,14 +87,18 @@ class DcmConfig:
             raise ConfigError(f"sigma_min must be positive, got {self.sigma_min}")
         if self.g_min < 1:
             raise ConfigError(f"g_min must be >= 1, got {self.g_min}")
-        if self.min_size < 1:
-            raise ConfigError(f"min_size must be >= 1, got {self.min_size}")
-        if self.max_size is not None and self.max_size < self.min_size:
-            raise ConfigError(
-                f"max_size {self.max_size} smaller than min_size {self.min_size}"
-            )
-        if self.occurrence_cap is not None and self.occurrence_cap < 1:
-            raise ConfigError(f"occurrence_cap must be >= 1, got {self.occurrence_cap}")
+        # the integer fields and their least values (seed has none); None
+        # leaves the size or the cap unbounded
+        least = {"min_size": 1, "max_size": self.min_size, "occurrence_cap": 1, "seed": -math.inf}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if value is None and name in ("max_size", "occurrence_cap"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
 
     def resolve_sigma(self, n_positives: int) -> int:
         """Absolute support threshold for a positive set of the given size."""
@@ -125,52 +121,29 @@ def _learn(
 ) -> list[MinedChronicle]:
     """Learn the constraints of multisets that are not discriminant alone.
 
-    Their duration tables are built in order and learned in batches with
-    ``induce_chronicles``.  A batch is learned once it holds
-    ``BATCH_TABLES`` tables or ``BATCH_CELLS`` cells, and before a table
-    that would take it past ``BATCH_CELLS`` joins it, so a larger table is
-    learned alone and right after it is built.  Each rule is re-scored at
+    Their duration tables are built in order, as ``induce_chronicles``
+    reads them, and learned in batches there.  Each rule is re-scored at
     sequence level from its acceptance test's cover and kept if it passes
     both thresholds.
     """
-    out: list[MinedChronicle] = []
-    batch: list[DurationTable] = []
-    cells = 0
-
-    def learn() -> None:
-        nonlocal cells
-        seeds = [_multiset_seed(config.seed, table.multiset) for table in batch]
-        out.extend(induce_chronicles(batch, dataset, config.g_min, seeds, sigma))
-        batch.clear()
-        cells = 0
-
-    for multiset in multisets:
-        table = build_duration_table(
-            multiset, dataset, cap=config.occurrence_cap, index=index
-        )
-        if batch and cells + table.durations.size > BATCH_CELLS:
-            learn()
-        batch.append(table)
-        cells += table.durations.size
-        del table  # the batch holds it until it is learned
-        if len(batch) == BATCH_TABLES or cells >= BATCH_CELLS:
-            learn()
-    if batch:
-        learn()
-    return out
+    tables = (
+        build_duration_table(multiset, dataset, cap=config.occurrence_cap, index=index)
+        for multiset in multisets
+    )
+    seeds = [_multiset_seed(config.seed, multiset) for multiset in multisets]
+    return induce_chronicles(tables, dataset, config.g_min, seeds, sigma)
 
 
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(dataset, index, config, sigma):
+def _init_worker(*state):  # (dataset, index, config, sigma)
     global _WORKER_STATE
-    _WORKER_STATE = (dataset, index, config, sigma)
+    _WORKER_STATE = state
 
 
 def _run_worker(multisets):
-    dataset, index, config, sigma = _WORKER_STATE
-    return _learn(multisets, dataset, index, config, sigma)
+    return _learn(multisets, *_WORKER_STATE)
 
 
 def _worker_count() -> int:

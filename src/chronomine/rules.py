@@ -13,18 +13,22 @@ translates directly into a set of temporal constraints.  Every round
 prunes: a table too small for a grow/prune split has no prune rows, so
 it keeps every condition it grew.
 
-The learner takes a batch of tables (``induce_rules_batch``); one table is
-a batch of one (``induce_rules``).  The tables with the same number of
-columns are stacked and their columns presorted once.  Their covering
-rounds run in lockstep, and each step of a round serves all the tables
-in it with a few segmented numpy calls, over a (table, sequence) group id
-that each row gets once per batch: one grow/prune split, in which each
-table still shuffles its own sequences with its own seeded
-``random.Random``; one grow step per condition, which scores the
-candidate thresholds of every table still growing; and one pruning pass
-and one acceptance test.  So a small table no longer pays numpy's
-per-call cost alone.  A batch holds all its tables at once: callers bound
-its size.
+The learner takes a stream of tables (``induce_rules_batch``,
+``induce_chronicles``); one table is a batch of one (``induce_rules``).
+It reads them one at a time and learns them in batches of one width
+(column count), bounded by ``BATCH_CELLS``: each width has one pending
+batch, learned before a table that would take it past ``BATCH_CELLS``
+cells joins it and once it holds that many, so a larger table is learned
+alone, right after it is read.  A batch's tables are stacked and their
+columns presorted once.  Their covering rounds run in lockstep, and each
+step of a round serves all the tables in it with a few segmented numpy
+calls, over a (table, sequence) group id that each row gets once per
+batch: one grow/prune split, in which each table still shuffles its own
+sequences with its own seeded ``random.Random``; one grow step per
+condition, which scores the candidate thresholds of every table still
+growing; and one pruning pass and one acceptance test.  So a small table
+no longer pays numpy's per-call cost alone, and the bound caps the memory
+a batch holds.
 
 Several rows may come from one sequence, so a learned rule is re-scored
 at sequence level.  The acceptance test already holds the rows the rule
@@ -69,6 +73,11 @@ from .model import (
 #: rows (or with a single sequence) per class the rule is grown on all rows.
 MIN_ROWS_FOR_PRUNING = 6
 PRUNE_FRACTION = 1 / 3
+#: A batch holds tables of one width and no more cells (rows x columns)
+#: than this unless it is one table: the bound caps what a batch holds at
+#: once (its tables, their presorted columns and a ``random.Random`` each),
+#: and a larger table is learned alone, with no copy.
+BATCH_CELLS = 4096
 
 
 def pair_attributes(multiset: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
@@ -745,19 +754,46 @@ def _cover(tables: list[DurationTable], g_min: float, seeds: list[int]) -> list[
     return found
 
 
-def _induce(tables: list[DurationTable], g_min: float, seeds: list[int]) -> list[list[tuple]]:
-    """Each table's rules as ``_cover`` returns them, the tables learned in
-    one ``_cover`` per column count; a table with no positive row learns
-    none."""
-    found: list[list[tuple]] = [[] for _ in tables]
-    by_width: dict[int, list[int]] = {}
-    for k, table in enumerate(tables):
+def _learn_batch(batch: list[tuple[int, DurationTable, int]], g_min: float, found: list) -> None:
+    """Learn a batch of (position, table, seed) entries with one ``_cover``
+    call, adding each table's rules to ``found`` at its position."""
+    ks, tables, seeds = zip(*batch)
+    for k, rules in zip(ks, _cover(list(tables), g_min, list(seeds))):
+        found[k][1].extend(rules)
+
+
+def _induce(
+    tables: Iterable[DurationTable], g_min: float, seeds: Iterable[int]
+) -> list[tuple[tuple[str, ...], list[tuple]]]:
+    """Each table's multiset and its rules as ``_cover`` returns them, in
+    table order; a table with no positive row learns none.
+
+    ``tables`` is read one table at a time, with one seed each.  The tables
+    of each width (column count) wait in one pending batch, which is
+    learned before a table that would take it past ``BATCH_CELLS`` cells
+    joins it, and once it holds ``BATCH_CELLS`` cells; the batches still
+    pending at the end are learned then.  So a larger table is learned
+    alone, and the only tables held are the pending batches, the batch
+    being learned and the table read last.
+    """
+    found: list[tuple[tuple[str, ...], list[tuple]]] = []
+    pending: dict[int, tuple[int, list]] = {}  # width -> (cells, batch)
+    for table, seed in zip(tables, seeds, strict=True):
+        found.append((table.multiset, []))
         if table.labels.any():
-            by_width.setdefault(len(table.pairs), []).append(k)
-    for ks in by_width.values():
-        learned = _cover([tables[k] for k in ks], g_min, [seeds[k] for k in ks])
-        for k, rules in zip(ks, learned):
-            found[k] = rules
+            width, size = len(table.pairs), table.durations.size
+            cells, batch = pending.pop(width, (0, []))
+            if batch and cells + size > BATCH_CELLS:
+                _learn_batch(batch, g_min, found)
+                cells, batch = 0, []
+            batch.append((len(found) - 1, table, seed))
+            if cells + size < BATCH_CELLS:
+                pending[width] = (cells + size, batch)
+            else:
+                _learn_batch(batch, g_min, found)
+            del batch  # a learned batch is freed before the next table is read
+    for width in list(pending):
+        _learn_batch(pending.pop(width)[1], g_min, found)
     return found
 
 
@@ -767,16 +803,14 @@ def induce_rules_batch(
     """``induce_rules`` on several tables at once: each table's rules, the
     same as it gets alone with its seed.
 
-    The tables with the same number of columns form one ``_Batch``, whose
-    columns are presorted once.  Its covering rounds run in lockstep: one
-    grow/prune split for all its tables, one segmented ``_Batch.best`` step
-    per condition for every table that still grows, and one pruning pass
-    and one acceptance test for all of them.  So a round costs a few numpy
-    calls for the whole batch, not a few per table.  The arrays hold all
-    the tables at once, so callers bound how many.
+    The tables are learned in batches of one width (``_induce``), each a
+    ``_Batch`` whose columns are presorted once.  Its covering rounds run
+    in lockstep: one grow/prune split for all its tables, one segmented
+    ``_Batch.best`` step per condition for every table that still grows,
+    and one pruning pass and one acceptance test for all of them.  So a
+    round costs a few numpy calls for the whole batch, not a few per table.
     """
-    found = _induce(list(tables), g_min, list(seeds))
-    return [[NumericalRule(rule) for rule, *_ in rules] for rules in found]
+    return [[NumericalRule(r) for r, *_ in found] for _, found in _induce(tables, g_min, seeds)]
 
 
 def induce_chronicles(
@@ -789,7 +823,8 @@ def induce_chronicles(
     """The discriminant chronicles among the tables' rules, as
     ``induce_rules_batch`` learns them: those that pass
     ``is_discriminant`` at ``sigma`` and ``g_min`` at sequence level, in
-    table order.  The tables must be built from ``dataset``.
+    table order.  The tables must be built from ``dataset``; they are read
+    one at a time, so they may come from a generator that builds them.
 
     The supports are read from the acceptance test's cover: the distinct
     covered sequences of each class, which are exactly the sequences that
@@ -798,14 +833,13 @@ def induce_chronicles(
     judged, with the same ``meets_growth`` test, before its chronicle is
     built.
     """
-    tables = list(tables)
     sequences = dataset.sequences
     out = []
-    for table, found in zip(tables, _induce(tables, g_min, list(seeds))):
+    for multiset, found in _induce(tables, g_min, seeds):
         for rule, supp_pos, supp_neg, unresolved in found:
             if not unresolved and (supp_pos < sigma or not meets_growth(supp_pos, supp_neg, g_min)):
                 continue  # the supports are final: no need to build the chronicle
-            chronicle = Chronicle.build(table.multiset, rule)
+            chronicle = Chronicle.build(multiset, rule)
             pos = [sequences[k] for k in unresolved if sequences[k].label == POSITIVE]
             neg = [sequences[k] for k in unresolved if sequences[k].label != POSITIVE]
             if pos:

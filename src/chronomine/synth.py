@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, InputError
-from .io import chronicle_from_obj, load_json
+from .io import chronicle_from_obj, json_number, load_json
 from .model import NEGATIVE, POSITIVE, Chronicle, Event, Sequence, SequenceDataset
 
 
@@ -154,24 +154,34 @@ def load_spec_json(path) -> SyntheticSpec:
                                      "constraints": [{"from": 0, "to": 1,
                                                       "lower": 10, "upper": 20}]},
                        "p_pos": 0.8, "p_neg": 0.05}]}
+
+    The counts are JSON integers, ``p_pos``, ``p_neg`` and ``horizon``
+    numbers and ``noise_types`` a list of strings; anything else is an
+    ``InputError``, and so is an integer beyond the float range where a
+    number is read.  A value out of its range is a ``ConfigError``.
     """
     data = load_json(path)
     try:
+        if not isinstance(data, dict):
+            raise TypeError(f"a spec must be a JSON object, got {data!r}")
+        noise_types = data.get("noise_types", [])
+        if not isinstance(noise_types, list) or not all(isinstance(t, str) for t in noise_types):
+            raise TypeError(f"noise_types must be a list of strings, got {noise_types!r}")
         patterns = tuple(
             PlantedPattern(
                 chronicle=chronicle_from_obj(p["chronicle"]),
-                p_pos=float(p["p_pos"]),
-                p_neg=float(p["p_neg"]),
+                p_pos=json_number(p["p_pos"], "p_pos"),
+                p_neg=json_number(p["p_neg"], "p_neg"),
             )
             for p in data.get("patterns", [])
         )
         return SyntheticSpec(
-            n_pos=int(data["n_pos"]),
-            n_neg=int(data["n_neg"]),
+            n_pos=json_number(data["n_pos"], "n_pos", int),
+            n_neg=json_number(data["n_neg"], "n_neg", int),
             patterns=patterns,
-            noise_types=tuple(str(t) for t in data.get("noise_types", [])),
-            noise_events=int(data.get("noise_events", 0)),
-            horizon=float(data.get("horizon", 90.0)),
+            noise_types=tuple(noise_types),
+            noise_events=json_number(data.get("noise_events", 0), "noise_events", int),
+            horizon=json_number(data.get("horizon", 90.0), "horizon"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (InputError, ConfigError)):

@@ -1,6 +1,7 @@
 """Shared fixtures: the six-sequence reference dataset, reference
-chronicles, the verbatim duration fixture, and an independent brute-force
-occurrence oracle used to cross-check the matcher."""
+chronicles, the verbatim duration fixture, an independent brute-force
+occurrence oracle used to cross-check the matcher, and the constraint-free
+supports of a multiset read from a ``TypeIndex``."""
 
 import itertools
 
@@ -117,6 +118,14 @@ def brute_force_occurrences(chronicle, sequence):
         if satisfied:
             out.add(mapping)
     return out
+
+
+def index_supports(index, multiset):
+    """(positive, negative) support of the constraint-free multiset: the
+    sequences ``index.containing`` finds, split at ``index.n_pos``."""
+    held = index.containing(multiset)
+    supp_pos = int(np.count_nonzero(held < index.n_pos))
+    return supp_pos, len(held) - supp_pos
 
 
 def brute_force_support(chronicle, sequences):

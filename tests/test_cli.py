@@ -191,6 +191,13 @@ class TestGenerateAndMatch:
         spec_path.write_text("{")
         assert main(["generate", "--spec", str(spec_path)]) == 1
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"n_pos": 1e999, "n_neg": 3}'])
+    def test_malformed_spec_values_are_exit_1(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        assert main(["generate", "--spec", str(spec_path)]) == 1
+        assert f"error: {spec_path}: malformed generator spec" in capsys.readouterr().err
+
     def test_malformed_chronicle_json_is_exit_1(self, dataset_csv, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps([{"items": ["A", "B"]}, {"items": "AB"}]))

@@ -1,6 +1,7 @@
 """The bitset multiset miner against the indexed-item reference
-(``encode`` -> ``mine_frequent_itemsets`` -> ``decode_to_multisets``), and
-``dcm`` with that reference path and ``TypeIndex.supports`` switched off."""
+(``encode`` -> ``mine_frequent_itemsets`` -> ``decode_to_multisets``, scored
+with ``index_supports``), and ``dcm`` with that reference path switched
+off."""
 
 import random
 
@@ -20,14 +21,14 @@ from chronomine import (
 )
 from chronomine.matcher import TypeIndex
 
-from conftest import BOUNDED, random_sequence
+from conftest import BOUNDED, index_supports, random_sequence
 
 
 def reference_multisets(dataset, sigma, min_size, max_size):
     itemsets = mine_frequent_itemsets(encode(dataset.positives), sigma, max_size)
     index = TypeIndex(dataset)
     return [
-        (multiset, *index.supports(multiset))
+        (multiset, *index_supports(index, multiset))
         for multiset in sorted(decode_to_multisets(itemsets))
         if len(multiset) >= min_size and (max_size is None or len(multiset) <= max_size)
     ]
@@ -111,5 +112,4 @@ def test_dcm_needs_neither_the_reference_miner_nor_a_supports_recount(
     for name in ("encode", "mine_frequent_itemsets", "decode_to_multisets"):
         assert hasattr(pipeline, name)
         monkeypatch.setattr(pipeline, name, unused)
-    monkeypatch.setattr(TypeIndex, "supports", unused)
     assert dcm(reference_dataset, config) == expected

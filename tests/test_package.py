@@ -3,6 +3,7 @@ import dataclasses
 import chronomine
 import chronomine.pipeline as pipeline
 import chronomine.rules as rules
+from chronomine.matcher import TypeIndex
 
 
 def test_every_exported_name_resolves():
@@ -17,4 +18,7 @@ def test_removed_names_are_gone():
         assert not hasattr(chronomine, name)
     assert not hasattr(pipeline, "check_multiset_discriminancy")
     assert not hasattr(rules, "row_growth")
+    assert not hasattr(TypeIndex, "supports")
+    for name in ("BATCH_TABLES", "BATCH_CELLS"):
+        assert not hasattr(pipeline, name)
     assert "strict_growth" not in {f.name for f in dataclasses.fields(chronomine.DcmConfig)}

@@ -1,16 +1,20 @@
 import math
-import os
+import weakref
 
+import numpy as np
 import pytest
 
 import chronomine.pipeline as pipeline
+import chronomine.rules as rules
 from chronomine import (
     Chronicle,
     DcmConfig,
     PlantedPattern,
     SequenceDataset,
     SyntheticSpec,
+    build_duration_table,
     dcm,
+    frequent_multisets,
     generate_synthetic,
     is_discriminant,
     reevaluate,
@@ -19,8 +23,9 @@ from chronomine import (
 from chronomine.errors import ConfigError
 from chronomine.matcher import TypeIndex
 from chronomine.model import meets_growth
+from chronomine.rules import induce_chronicles
 
-from conftest import make_sequence
+from conftest import index_supports, make_sequence
 
 
 def planted_spec(p_pos=0.8, p_neg=0.05, with_decoy=False, n=200):
@@ -59,11 +64,25 @@ class TestConfig:
             {"min_size": 0},
             {"min_size": 3, "max_size": 2},
             {"occurrence_cap": 0},
+            {"occurrence_cap": 2.5},
+            {"occurrence_cap": True},
+            {"seed": 1.5},
+            {"seed": "1"},
+            {"seed": np.float64(1)},
+            {"min_size": 2.0},
+            {"min_size": True},
+            {"max_size": 3.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             DcmConfig(**kwargs)
+
+    def test_numpy_integers_are_stored_as_ints(self, reference_dataset):
+        cfg = DcmConfig(min_size=np.int64(2), max_size=np.int32(3), seed=np.uint8(4))
+        assert (cfg.min_size, cfg.max_size, cfg.seed) == (2, 3, 4)
+        assert all(type(v) is int for v in (cfg.min_size, cfg.max_size, cfg.seed))
+        assert dcm(reference_dataset, cfg) == dcm(reference_dataset, DcmConfig(max_size=3, seed=4))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["sigma_min", "g_min"])
@@ -74,7 +93,7 @@ class TestConfig:
 
 def bare_multiset_meets_growth(multiset, dataset, g_min):
     """The shortcut's growth test on the constraint-free multiset."""
-    return meets_growth(*TypeIndex(dataset).supports(multiset), g_min)
+    return meets_growth(*index_supports(TypeIndex(dataset), multiset), g_min)
 
 
 class TestMultisetDiscriminancy:
@@ -191,37 +210,104 @@ class TestDcm:
         assert parallel == sequential
 
     def test_batch_bounds_and_pool_slices_leave_output_unchanged(self, monkeypatch):
-        # 90 learned multisets: more than one batch of tables, and more
-        # than the pool's 2 * SLICES_PER_WORKER slices
+        # 90 learned multisets of four widths: more than the pool's
+        # 2 * SLICES_PER_WORKER slices
         ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
         cfg = DcmConfig(sigma_min=0.05, g_min=2.0)
-        batches = []
-        learn = pipeline.induce_chronicles
+        batches = []  # (tables, width) of each batch
+        cover = rules._cover
 
-        def counted(tables, *args, **kwargs):
-            batches.append(len(tables))
+        def counted(tables, *args):
+            widths = {len(table.pairs) for table in tables}
+            assert len(widths) == 1
             if len(tables) > 1:
-                assert sum(table.durations.size for table in tables) <= pipeline.BATCH_CELLS
-            return learn(tables, *args, **kwargs)
+                assert sum(table.durations.size for table in tables) <= rules.BATCH_CELLS
+            batches.append((len(tables), *widths))
+            return cover(tables, *args)
 
-        monkeypatch.setattr(pipeline, "induce_chronicles", counted)
+        monkeypatch.setattr(rules, "_cover", counted)
         default = dcm(ds, cfg)
-        learned = sum(batches)
-        assert learned > pipeline.BATCH_TABLES
+        learned = sum(n for n, _ in batches)
+        widths = {width for _, width in batches}
         assert learned > 2 * pipeline.SLICES_PER_WORKER
-        assert len(batches) > 1
+        assert 1 < len(widths) <= len(batches) < learned
 
-        for tables, cells in [(1, 1), (5, 10**9), (pipeline.BATCH_TABLES, 40)]:
+        for cells in (1, 40, 10**9):
             batches.clear()
-            monkeypatch.setattr(pipeline, "BATCH_TABLES", tables)
-            monkeypatch.setattr(pipeline, "BATCH_CELLS", cells)
+            monkeypatch.setattr(rules, "BATCH_CELLS", cells)
             assert dcm(ds, cfg) == default
-            assert sum(batches) == learned and max(batches) <= tables
-        assert batches.count(1) < len(batches)  # the cell bound mixes sizes
+            sizes = [n for n, _ in batches]
+            assert sum(sizes) == learned
+            if cells == 1:
+                assert set(sizes) == {1}
+            elif cells == 40:
+                assert sizes.count(1) < len(sizes)  # the bound mixes sizes
+            else:
+                assert sorted(width for _, width in batches) == sorted(widths)
         monkeypatch.undo()
 
         monkeypatch.setenv("CHRONOMINE_THREADS", "2")
         assert dcm(ds, cfg) == default
+
+    def test_learner_streams_its_tables(self, monkeypatch):
+        # induce_chronicles reads a generator as it reads a list, holds one
+        # pending batch per width, and frees the tables of a learned batch
+        ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
+        index = TypeIndex(ds)
+        multisets = [m for m, _, _ in frequent_multisets(index, 3, 2)]
+        seeds = list(range(len(multisets)))
+        tables = [build_duration_table(m, ds, index=index) for m in multisets]
+        expected = induce_chronicles(tables, ds, 2.0, seeds, 3)
+        # a bound that the first two one-column tables fill exactly
+        one_column = [t.durations.size for t in tables if len(t.pairs) == 1]
+        bound = one_column[0] + one_column[1]
+        del tables
+        assert expected
+        with pytest.raises(ValueError):
+            induce_chronicles([], ds, 2.0, [1], 3)
+
+        monkeypatch.setattr(rules, "BATCH_CELLS", bound)
+        built = []  # weak references: a DurationTable is not hashable
+        learned = []
+        batches = []
+        cover = rules._cover
+
+        def check_waiting(batch=()):
+            # apart from the batch being learned and the table read last,
+            # every live table waits, unlearned, in the pending batch of its
+            # width, which holds fewer cells than the bound
+            waiting = [
+                table
+                for table in (ref() for ref in built[:-1])
+                if table is not None and not any(table is t for t in batch)
+            ]
+            assert not any(table is ref() for table in waiting for ref in learned)
+            for width in {len(table.pairs) for table in waiting}:
+                cells = sum(t.durations.size for t in waiting if len(t.pairs) == width)
+                assert cells < rules.BATCH_CELLS
+            del waiting
+
+        def watched(batch, *args):
+            check_waiting(batch)
+            learned.extend(weakref.ref(table) for table in batch)
+            batches.append((len(batch), sum(table.durations.size for table in batch)))
+            return cover(batch, *args)
+
+        def stream():
+            for multiset in multisets:
+                check_waiting()
+                table = build_duration_table(multiset, ds, index=index)
+                built.append(weakref.ref(table))
+                yield table
+                del table
+
+        monkeypatch.setattr(rules, "_cover", watched)
+        assert induce_chronicles(stream(), ds, 2.0, seeds, 3) == expected
+        sizes = [n for n, _ in batches]
+        assert sum(sizes) == len(multisets)
+        assert 1 < sizes.count(1) < len(sizes)
+        assert (2, bound) in batches  # learned once it held the bound
+        assert all(ref() is None for ref in built)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count_warns_and_runs_sequentially(self, monkeypatch, value):

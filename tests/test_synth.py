@@ -188,3 +188,47 @@ class TestSpecJson:
         path.write_text("{nope")
         with pytest.raises(InputError):
             load_spec_json(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_pos": 1e999, "n_neg": 3}',
+            "[1, 2]",
+            '"x"',
+            "null",
+            '{"n_pos": 2.5, "n_neg": 3}',
+            '{"n_pos": true, "n_neg": 3}',
+            '{"n_pos": "4", "n_neg": 3}',
+            '{"n_pos": 3, "n_neg": 3.0}',
+            '{"n_pos": 3, "n_neg": 3, "noise_events": 1.5, "noise_types": ["C"]}',
+            '{"n_pos": 3, "n_neg": 3, "noise_events": 1, "noise_types": "CD"}',
+            '{"n_pos": 3, "n_neg": 3, "noise_types": ["C", 4]}',
+            '{"n_pos": 3, "n_neg": 3, "horizon": "90"}',
+            '{"n_pos": 3, "n_neg": 3, "horizon": null}',
+            '{"n_pos": 3, "n_neg": 3, "horizon": 1' + "0" * 400 + "}",
+            '{"n_pos": 3, "n_neg": 3, "patterns": [{"chronicle": {"items": ["A"]},'
+            ' "p_pos": "1", "p_neg": 0}]}',
+            '{"n_pos": 3, "n_neg": 3, "patterns": [{"chronicle": {"items": ["A"]},'
+            ' "p_pos": 1, "p_neg": false}]}',
+        ],
+    )
+    def test_malformed_values_rejected(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match="malformed generator spec"):
+            load_spec_json(path)
+
+    def test_infinite_horizon_is_a_config_error(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n_pos": 3, "n_neg": 3, "horizon": 1e999}')
+        with pytest.raises(ConfigError, match="horizon must be finite"):
+            load_spec_json(path)
+
+    def test_integer_probabilities_and_horizon_load_as_floats(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"n_pos": 3, "n_neg": 0, "horizon": 30, "patterns": '
+            '[{"chronicle": {"items": ["A", "B"]}, "p_pos": 1, "p_neg": 0}]}'
+        )
+        spec = load_spec_json(path)
+        assert spec.horizon == 30.0 and spec.patterns[0].p_pos == 1.0

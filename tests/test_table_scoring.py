@@ -3,6 +3,7 @@ multiset containment, duration tables against the matcher's occurrences,
 and rule scoring from a table against rescoring with the matcher, including
 tables the occurrence cap truncated."""
 
+import os
 import random
 import warnings
 from collections import Counter
@@ -17,21 +18,24 @@ from chronomine import (
     Chronicle,
     DcmConfig,
     Event,
+    MinedChronicle,
     OccurrenceCapWarning,
     Sequence,
     SequenceDataset,
     build_duration_table,
     dcm,
     enumerate_occurrences,
+    frequent_multisets,
     generate_synthetic,
     induce_rules_batch,
+    is_discriminant,
     reevaluate,
     translate,
 )
 from chronomine.matcher import TypeIndex
 from chronomine.rules import induce_chronicles
 
-from conftest import BOUNDED, random_sequence
+from conftest import BOUNDED, index_supports, random_sequence
 from test_pipeline import planted_spec
 
 ALPHABET = ("a", "b", "c")
@@ -65,7 +69,7 @@ def test_index_supports_equal_brute_force_containment(seed):
             sum(holds(s, ms) for s in ds.positives),
             sum(holds(s, ms) for s in ds.negatives),
         )
-        assert index.supports(ms) == expected
+        assert index_supports(index, ms) == expected
         held = [k for k, s in enumerate(ds.sequences) if holds(s, ms)]
         assert index.containing(ms).tolist() == held
 
@@ -214,3 +218,29 @@ def test_capped_mining_falls_back_to_the_matcher_and_stays_exact(monkeypatch):
     for mined in results:
         assert reevaluate(mined.chronicle, ds) == mined
 
+
+def test_dcm_warns_as_its_tables_are_built_in_order():
+    # the learner reads the tables as the pipeline builds them, so the cap
+    # warnings come table by table, as from building the learned tables
+    # in order, and each names the pipeline's line that builds a table
+    ds = random_dataset(random.Random(7), n=12)
+    config = DcmConfig(sigma_min=2, g_min=1.5, occurrence_cap=2)
+    sigma, g_min = config.resolve_sigma(len(ds.positives)), config.g_min
+    index = TypeIndex(ds)
+    learned = [
+        multiset
+        for multiset, p, n in frequent_multisets(index, sigma, config.min_size)
+        if not is_discriminant(MinedChronicle(Chronicle.unconstrained(multiset), p, n), sigma, g_min)
+    ]
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        dcm(ds, config)
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        for multiset in learned:
+            build_duration_table(multiset, ds, cap=2, index=index)
+    assert len(expected) > 1
+    assert [(w.category, str(w.message)) for w in got] == [
+        (w.category, str(w.message)) for w in expected
+    ]
+    assert {os.path.basename(w.filename) for w in got} == {"pipeline.py"}
