@@ -22,9 +22,19 @@ tables are built in order, one at a time as the learner reads them, and
 the learner groups them into batches (see ``rules``).  Each learned rule is
 re-scored from the rows its acceptance test covered, with the matcher only
 as the fallback for sequences the occurrence cap truncated, and only a rule
-that passes both thresholds becomes a chronicle.  With ``CHRONOMINE_THREADS``
-above 1, a process pool maps that learning over contiguous slices of the
-learned multisets, ``SLICES_PER_WORKER`` per worker.
+that passes both thresholds becomes a chronicle.
+
+With ``CHRONOMINE_THREADS=N`` above 1, N processes share that learning: the
+calling process and N - 1 forked pool workers, each with one round-robin
+shard of the learned multisets, ``learned[k::n]`` with ``n = min(N,
+len(learned))``.  The caller submits shards 1 to n - 1 to the pool, learns
+shard 0 itself, then collects the others; each shard is one ``_learn`` call,
+so each process learns the largest batches it can.  The output is sorted,
+so it does not depend on the sharding.  A worker records its cap warnings
+and returns them with its chronicles; the caller re-issues them through this
+module's warning registry, so the warning filters act on them as on the
+sequential run's.  The caller's own shard warns first, as it learns it,
+then each worker shard's warnings follow in that shard's table order.
 
 The output needs no dedupe: chronicles of different multisets differ in
 their items, a multiset that takes the shortcut gets no table, and each
@@ -52,12 +62,9 @@ from .rules import build_duration_table, induce_chronicles
 from .itemsets import decode_to_multisets, encode, mine_frequent_itemsets
 from .rules import induce_rules, reevaluate, translate
 
-#: Workers that learn the multisets' constraints; unset or 1 means run
-#: sequentially.
+#: Processes that learn the multisets' constraints, the caller included, each
+#: on one round-robin shard of them; unset or 1 means run sequentially.
 THREADS_ENV_VAR = "CHRONOMINE_THREADS"
-#: The pool maps over contiguous slices of the learned multisets, this many
-#: per worker, so that a slow slice can be balanced by the others.
-SLICES_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,10 @@ class DcmConfig:
 
     ``sigma_min`` below 1 is a fraction of the positive set (converted by
     ceiling); otherwise it is an absolute sequence count.  Both thresholds
-    must be finite.  The shortcut and emission both decide with
-    ``is_discriminant`` at these thresholds.  ``min_size``, ``max_size``,
-    ``occurrence_cap`` and ``seed`` are integers (a numpy integer is stored
-    as an int; a bool is not one).
+    must be finite real numbers (a numpy float is one; a bool is not).  The
+    shortcut and emission both decide with ``is_discriminant`` at these
+    thresholds.  ``min_size``, ``max_size``, ``occurrence_cap`` and ``seed``
+    are integers (a numpy integer is stored as an int; a bool is not one).
     """
 
     sigma_min: float = 2
@@ -81,6 +88,8 @@ class DcmConfig:
 
     def __post_init__(self):
         for name, value in (("sigma_min", self.sigma_min), ("g_min", self.g_min)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
             if not -math.inf < value < math.inf:  # also false for NaN
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.sigma_min <= 0:
@@ -143,7 +152,12 @@ def _init_worker(*state):  # (dataset, index, config, sigma)
 
 
 def _run_worker(multisets):
-    return _learn(multisets, *_WORKER_STATE)
+    """Learn one shard in a pool worker; returns its chronicles and the
+    (message, category, filename, lineno) of its warnings, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chronicles = _learn(multisets, *_WORKER_STATE)
+    return chronicles, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 def _worker_count() -> int:
@@ -201,18 +215,23 @@ def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[Mined
         elif len(multiset) > 1:  # a singleton has no pair duration to constrain
             learned.append(multiset)
 
-    workers = _worker_count()
-    if workers > 1 and len(learned) > 1:
-        n_slices = min(len(learned), workers * SLICES_PER_WORKER)
-        bounds = [len(learned) * k // n_slices for k in range(n_slices + 1)]
+    n = min(_worker_count(), len(learned))
+    if n > 1:
+        shards = [learned[k::n] for k in range(n)]
         with ProcessPoolExecutor(
-            max_workers=min(workers, n_slices),
+            max_workers=n - 1,
             initializer=_init_worker,
             initargs=(dataset, index, config, sigma),
         ) as pool:
-            slices = [learned[a:b] for a, b in zip(bounds, bounds[1:])]
-            for chunk in pool.map(_run_worker, slices):
-                results.extend(chunk)
+            others = pool.map(_run_worker, shards[1:])  # submits, and forks, now
+            results.extend(_learn(shards[0], dataset, index, config, sigma))
+            registry = globals().setdefault("__warningregistry__", {})
+            for chronicles, caught in others:
+                results.extend(chronicles)
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(
+                        message, category, filename, lineno, module=__name__, registry=registry
+                    )
     else:
         results.extend(_learn(learned, dataset, index, config, sigma))
 

@@ -19,6 +19,6 @@ def test_removed_names_are_gone():
     assert not hasattr(pipeline, "check_multiset_discriminancy")
     assert not hasattr(rules, "row_growth")
     assert not hasattr(TypeIndex, "supports")
-    for name in ("BATCH_TABLES", "BATCH_CELLS"):
+    for name in ("BATCH_TABLES", "BATCH_CELLS", "SLICES_PER_WORKER"):
         assert not hasattr(pipeline, name)
     assert "strict_growth" not in {f.name for f in dataclasses.fields(chronomine.DcmConfig)}

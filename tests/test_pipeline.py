@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +75,13 @@ class TestConfig:
             {"min_size": 2.0},
             {"min_size": True},
             {"max_size": 3.5},
+            {"sigma_min": "2"},
+            {"g_min": "3"},
+            {"sigma_min": True},
+            {"g_min": True},
+            {"sigma_min": None},
+            {"g_min": np.bool_(True)},
+            {"g_min": [2.0]},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -83,6 +93,11 @@ class TestConfig:
         assert (cfg.min_size, cfg.max_size, cfg.seed) == (2, 3, 4)
         assert all(type(v) is int for v in (cfg.min_size, cfg.max_size, cfg.seed))
         assert dcm(reference_dataset, cfg) == dcm(reference_dataset, DcmConfig(max_size=3, seed=4))
+
+    def test_real_number_thresholds_accepted(self):
+        cfg = DcmConfig(sigma_min=np.float32(0.25), g_min=np.float64(1.5))
+        assert cfg.resolve_sigma(100) == 25
+        assert DcmConfig(sigma_min=np.int64(3), g_min=Fraction(3, 2)).resolve_sigma(100) == 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["sigma_min", "g_min"])
@@ -209,9 +224,9 @@ class TestDcm:
         parallel = dcm(ds, cfg)
         assert parallel == sequential
 
-    def test_batch_bounds_and_pool_slices_leave_output_unchanged(self, monkeypatch):
-        # 90 learned multisets of four widths: more than the pool's
-        # 2 * SLICES_PER_WORKER slices
+    def test_batch_bounds_and_pool_shards_leave_output_unchanged(self, monkeypatch):
+        # 90 learned multisets of four widths, learned at several batch
+        # bounds and by 1, 2 and 3 processes
         ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
         cfg = DcmConfig(sigma_min=0.05, g_min=2.0)
         batches = []  # (tables, width) of each batch
@@ -229,7 +244,7 @@ class TestDcm:
         default = dcm(ds, cfg)
         learned = sum(n for n, _ in batches)
         widths = {width for _, width in batches}
-        assert learned > 2 * pipeline.SLICES_PER_WORKER
+        assert learned > 3
         assert 1 < len(widths) <= len(batches) < learned
 
         for cells in (1, 40, 10**9):
@@ -246,8 +261,78 @@ class TestDcm:
                 assert sorted(width for _, width in batches) == sorted(widths)
         monkeypatch.undo()
 
-        monkeypatch.setenv("CHRONOMINE_THREADS", "2")
-        assert dcm(ds, cfg) == default
+        for processes in ("2", "3"):
+            monkeypatch.setenv("CHRONOMINE_THREADS", processes)
+            assert dcm(ds, cfg) == default
+
+    def test_the_caller_learns_shard_0_and_the_pool_the_rest(self, monkeypatch):
+        # a fake pool that runs its shards in this process, lazily, as the
+        # caller collects them; at 3 processes and at more processes than
+        # multisets learned, where each of n = len(learned) gets one
+        ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
+        cfg = DcmConfig(sigma_min=0.1, g_min=2.0)
+        calls = []  # the multisets of each _learn call, in call order
+        learn = pipeline._learn
+
+        def recorded(multisets, *args):
+            calls.append(list(multisets))
+            return learn(multisets, *args)
+
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                self.max_workers = max_workers
+                initializer(*initargs)
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, shards):
+                self.shards = list(shards)
+                return (fn(shard) for shard in self.shards)
+
+        monkeypatch.setattr(pipeline, "_learn", recorded)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(pipeline, "_WORKER_STATE", None)
+        sequential = dcm(ds, cfg)
+        (learned,) = calls
+        assert len(learned) > 3
+        for asked, n in ((3, 3), (len(learned) + 5, len(learned))):
+            calls.clear()
+            pools.clear()
+            monkeypatch.setenv("CHRONOMINE_THREADS", str(asked))
+            assert dcm(ds, cfg) == sequential
+            (pool,) = pools
+            assert pool.max_workers == n - 1
+            assert pool.shards == [learned[k::n] for k in range(1, n)]
+            assert calls == [learned[k::n] for k in range(n)]  # the caller's first
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_a_pooled_run_leaves_no_child_process(self, monkeypatch, raiser):
+        ds = generate_synthetic(planted_spec(with_decoy=True, n=60), seed=31)
+        cfg = DcmConfig(sigma_min=0.1, g_min=2.0)
+        monkeypatch.setenv("CHRONOMINE_THREADS", "3")
+        assert dcm(ds, cfg)
+        assert multiprocessing.active_children() == []
+
+        caller = os.getpid()
+        learn = pipeline._learn
+
+        def failing(*args):
+            if (os.getpid() == caller) == (raiser == "caller"):
+                raise RuntimeError(f"{raiser} failed")
+            return learn(*args)
+
+        monkeypatch.setattr(pipeline, "_learn", failing)
+        with pytest.raises(RuntimeError, match=f"{raiser} failed"):
+            dcm(ds, cfg)
+        assert multiprocessing.active_children() == []
 
     def test_learner_streams_its_tables(self, monkeypatch):
         # induce_chronicles reads a generator as it reads a list, holds one

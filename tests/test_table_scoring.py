@@ -244,3 +244,29 @@ def test_dcm_warns_as_its_tables_are_built_in_order():
         (w.category, str(w.message)) for w in expected
     ]
     assert {os.path.basename(w.filename) for w in got} == {"pipeline.py"}
+
+
+def test_pooled_dcm_raises_the_sequential_runs_warnings(monkeypatch):
+    # the workers' cap warnings are re-issued in the caller through the
+    # pipeline's warning registry: under "always" every warning comes, and
+    # under "default" the same ones are shown, once each, as in the
+    # sequential run
+    ds = random_dataset(random.Random(7), n=12)
+    config = DcmConfig(sigma_min=2, g_min=1.5, occurrence_cap=2)
+
+    def caught(action):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter(action)
+            results = dcm(ds, config)
+        shown = [(w.category, str(w.message), os.path.basename(w.filename), w.lineno) for w in got]
+        return results, shown
+
+    expected, every = caught("always")
+    _, shown = caught("default")
+    assert len(set(shown)) == len(shown) < len(every)
+    for processes in ("2", "3"):
+        monkeypatch.setenv("CHRONOMINE_THREADS", processes)
+        results, pooled = caught("always")
+        assert results == expected
+        assert sorted(pooled) == sorted(every)
+        assert sorted(caught("default")[1]) == sorted(shown)
