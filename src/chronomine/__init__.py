@@ -56,7 +56,6 @@ from .rules import (
     NumericalRule,
     build_duration_table,
     induce_rules,
-    induce_rules_batch,
     reevaluate,
     translate,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "NumericalRule",
     "build_duration_table",
     "induce_rules",
-    "induce_rules_batch",
     "reevaluate",
     "translate",
     "PlantedPattern",

@@ -65,39 +65,51 @@ def _text_in(path) -> Iterator[TextIO]:
             raise InputError(f"{path}: not UTF-8 text (byte 0x{bad}: {exc.reason})") from None
 
 
+def _rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The line number and fields of each non-blank row of a CSV file after
+    its ``header``; InputError for another header or a row with another
+    field count."""
+    with _text_in(path) as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise InputError(f"{path}: expected header {','.join(header)!r}, got {found}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+
+def _sequence(path, sid: str, events: list[Event], label: str) -> Sequence:
+    """The sequence of a file's rows; a time span that is not a finite float
+    is an InputError naming the file and the sid."""
+    try:
+        return Sequence(sid=sid, events=tuple(events), label=label)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def load_csv(path) -> SequenceDataset:
     """Read a labeled event CSV into a dataset.
 
     Raises InputError with the offending line number for malformed rows
     (wrong field count, empty sid or event type, a timestamp that is not a
-    finite number, a bad label) and with the sid for label inconsistencies.
+    finite number, a bad label) and with the sid for label inconsistencies
+    and for a sequence whose events span more than the float range.
     """
     events: dict[str, list[Event]] = {}
     labels: dict[str, str] = {}
-    with _text_in(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DATASET_HEADER:
-            raise InputError(
-                f"{path}: expected header {','.join(DATASET_HEADER)!r}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            sid, etype, raw_ts, label = row
-            event = _parse_event(path, lineno, sid, etype, raw_ts)
-            if label not in (POSITIVE, NEGATIVE):
-                raise InputError(f"{path}:{lineno}: bad label {label!r}")
-            if sid in labels and labels[sid] != label:
-                raise InputError(f"{path}: sequence {sid!r} carries inconsistent labels")
-            labels[sid] = label
-            events.setdefault(sid, []).append(event)
-    sequences = [
-        Sequence(sid=sid, events=tuple(evs), label=labels[sid])
-        for sid, evs in events.items()
-    ]
+    for lineno, (sid, etype, raw_ts, label) in _rows(path, DATASET_HEADER):
+        event = _parse_event(path, lineno, sid, etype, raw_ts)
+        if label not in (POSITIVE, NEGATIVE):
+            raise InputError(f"{path}:{lineno}: bad label {label!r}")
+        if sid in labels and labels[sid] != label:
+            raise InputError(f"{path}: sequence {sid!r} carries inconsistent labels")
+        labels[sid] = label
+        events.setdefault(sid, []).append(event)
+    sequences = [_sequence(path, sid, evs, labels[sid]) for sid, evs in events.items()]
     return SequenceDataset.from_sequences(sequences)
 
 
@@ -130,23 +142,14 @@ def save_dataset_csv(
 def load_timeline_csv(path) -> dict[str, list[Event]]:
     """Read an unlabeled per-patient event CSV (header sid,event,timestamp).
 
-    Rows are checked as in ``load_csv``, with the line number in the error.
+    Rows are checked as in ``load_csv``, with the line number in the error,
+    and so is each patient's time span, with the sid.
     """
     timelines: dict[str, list[Event]] = {}
-    with _text_in(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TIMELINE_HEADER:
-            raise InputError(
-                f"{path}: expected header {','.join(TIMELINE_HEADER)!r}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            sid, etype, raw_ts = row
-            timelines.setdefault(sid, []).append(_parse_event(path, lineno, sid, etype, raw_ts))
+    for lineno, (sid, etype, raw_ts) in _rows(path, TIMELINE_HEADER):
+        timelines.setdefault(sid, []).append(_parse_event(path, lineno, sid, etype, raw_ts))
+    for sid, events in timelines.items():
+        _sequence(path, sid, events, POSITIVE)
     return timelines
 
 
@@ -157,25 +160,22 @@ def _bound_to_json(value: float):
     return None if math.isinf(value) else value
 
 
-def json_number(value, what: str, kind: type = float):
+def json_number(value, what: str, kind: type = float, null: float | None = None):
     """A JSON number as ``kind``: int takes only an integer, float any
-    number, and a bool is neither.  Otherwise a TypeError naming ``what``,
-    and a ValueError for an integer beyond the float range."""
+    number, and a bool is neither; with ``null`` given, a JSON null stands
+    for it.  Otherwise a TypeError naming ``what``, and a ValueError for an
+    integer beyond the float range."""
+    if value is None and null is not None:
+        return null
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         expected = "an integer" if kind is int else "a number"
+        if null is not None:
+            expected = f"null or {expected}"
         raise TypeError(f"{what} must be {expected}, got {value!r}")
     try:
         return kind(value)
     except OverflowError:
         raise ValueError(f"{what} {value} is out of range") from None
-
-
-def _bound_from_json(value, default: float) -> float:
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"a bound must be null or a number, got {value!r}")
-    return json_number(value, "bound")
 
 
 def chronicle_to_obj(mined: MinedChronicle) -> dict:
@@ -212,8 +212,8 @@ def chronicle_from_obj(obj: Mapping) -> Chronicle:
             (
                 json_number(c["from"], "item position", int),
                 json_number(c["to"], "item position", int),
-                _bound_from_json(c.get("lower"), -math.inf),
-                _bound_from_json(c.get("upper"), math.inf),
+                json_number(c.get("lower"), "a bound", null=-math.inf),
+                json_number(c.get("upper"), "a bound", null=math.inf),
             )
             for c in obj.get("constraints", [])
         ]

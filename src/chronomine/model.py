@@ -45,7 +45,9 @@ class Sequence:
     """A labeled, time-ordered sequence of events.
 
     Events are stored sorted by (timestamp, event_type) regardless of the
-    order they were supplied in.  Duplicate events are kept.
+    order they were supplied in.  Duplicate events are kept.  The time span
+    from the first event to the last must be a finite float, so that every
+    duration between two events is one.
     """
 
     sid: str
@@ -55,7 +57,13 @@ class Sequence:
     def __post_init__(self):
         if self.label not in (POSITIVE, NEGATIVE):
             raise ValueError(f"label must be {POSITIVE!r} or {NEGATIVE!r}, got {self.label!r}")
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=_sequence_order)))
+        events = tuple(sorted(self.events, key=_sequence_order))
+        if events and not math.isfinite(events[-1].timestamp - events[0].timestamp):
+            raise ValueError(
+                f"sequence {self.sid!r} spans {events[0].timestamp!r} to "
+                f"{events[-1].timestamp!r}, a duration that is not a finite float"
+            )
+        object.__setattr__(self, "events", events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -83,9 +91,9 @@ class SequenceDataset:
         ]:
             if seq.label != expected:
                 raise ValueError(f"sequence {seq.sid!r} labeled {seq.label!r} is in the wrong set")
-        sids = [s.sid for s in self.sequences]
-        if len(set(sids)) != len(sids):
-            dup = sorted({x for x in sids if sids.count(x) > 1})
+        ids = [s.sid for s in self.sequences]
+        if len(set(ids)) != len(ids):
+            dup = sorted({x for x in ids if ids.count(x) > 1})
             raise ValueError(f"duplicate sequence ids: {dup}")
         known = set(self.alphabet)
         for seq in self.sequences:

@@ -13,8 +13,10 @@ translates directly into a set of temporal constraints.  Every round
 prunes: a table too small for a grow/prune split has no prune rows, so
 it keeps every condition it grew.
 
-The learner takes a stream of tables (``induce_rules_batch``,
-``induce_chronicles``); one table is a batch of one (``induce_rules``).
+Each row names its sequence by its position in the dataset
+(``seq_index``), the one key by which the learner groups a table's rows.
+The learner (``_induce``) takes a stream of tables, as ``induce_chronicles``
+passes them; ``induce_rules`` learns one table alone, as a stream of one.
 It reads them one at a time and learns them in batches of one width
 (column count), bounded by ``BATCH_CELLS``: each width has one pending
 batch, learned before a table that would take it past ``BATCH_CELLS``
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Iterable
@@ -63,7 +65,6 @@ from .model import (
     POSITIVE,
     Chronicle,
     MinedChronicle,
-    Sequence,
     SequenceDataset,
     is_discriminant,
     meets_growth,
@@ -115,41 +116,27 @@ class DurationTable:
     (rows x pairs) float array where column p holds timestamp(j) -
     timestamp(i) for pair (i, j).  ``labels`` is True for rows from positive
     sequences.  ``seq_index`` gives each row's sequence as its position in
-    ``dataset.sequences``, so within one class their order is sid order
-    (numbered in sid order when not given), and
-    ``capped`` lists the positions of the sequences whose enumeration hit
-    the occurrence cap, so their rows are incomplete.  ``sids`` names each
-    row's sequence; passed as None, it is read on first use from
-    ``sequences``, the dataset's sequences, at ``seq_index``.
+    ``dataset.sequences``, so within one class their order is sid order,
+    and ``capped`` lists the positions of the sequences whose enumeration
+    hit the occurrence cap, so their rows are incomplete.
     """
 
     multiset: tuple[str, ...]
-    sids: InitVar[tuple[str, ...] | None]
     durations: np.ndarray
     labels: np.ndarray
-    seq_index: np.ndarray | None = None
+    seq_index: np.ndarray
     capped: tuple[int, ...] = ()
-    sequences: tuple[Sequence, ...] = field(default=(), repr=False)
     pairs: tuple[tuple[int, int], ...] = field(init=False)
 
-    def __post_init__(self, sids):
+    def __post_init__(self):
         self.pairs = pair_attributes(self.multiset)
-        self._sids = None if sids is None else tuple(sids)
-        rows = len(self._sids) if self.seq_index is None else np.size(self.seq_index)
+        self.seq_index = np.asarray(self.seq_index).reshape(-1)
+        rows = len(self.seq_index)
         self.durations = np.asarray(self.durations, dtype=float).reshape(rows, len(self.pairs))
         self.labels = np.asarray(self.labels, dtype=bool).reshape(rows)
-        if self.seq_index is None:
-            rank = {sid: k for k, sid in enumerate(sorted(set(self._sids)))}
-            self.seq_index = np.array([rank[sid] for sid in self._sids], dtype=np.int64)
-        self.seq_index = np.asarray(self.seq_index).reshape(rows)
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def _row_sids(self) -> tuple[str, ...]:
-        if self._sids is None:
-            self._sids = tuple(self.sequences[k].sid for k in self.seq_index.tolist())
-        return self._sids
 
     @property
     def truncated(self) -> bool:
@@ -159,20 +146,6 @@ class DurationTable:
     @property
     def names(self) -> tuple[str, ...]:
         return attribute_names(self.multiset)
-
-    def to_csv(self, path) -> None:
-        """Debug dump: sid, one column per pair attribute, label."""
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sid", *self.names, "label"])
-            for sid, row, lab in zip(self.sids, self.durations, self.labels):
-                writer.writerow([sid, *(repr(v) for v in row), "+" if lab else "-"])
-
-
-# a property, not a field, so that ``sids`` stays the constructor's second argument
-DurationTable.sids = property(DurationTable._row_sids, doc="Each row's sequence id.")
 
 
 #: Row count standing for "more than any table can hold" when no cap applies.
@@ -300,12 +273,10 @@ def build_duration_table(
     first, second = np.asarray(pair_attributes(multiset)).T
     return DurationTable(
         multiset=multiset,
-        sids=None,
         durations=stamps[:, second] - stamps[:, first],
         labels=seq_index < index.n_pos,
         seq_index=seq_index,
         capped=capped,
-        sequences=index.sequences,
     )
 
 
@@ -459,7 +430,7 @@ class _Batch:
 
         Each table's split is stratified by label and keeps whole sequences
         on one side.  Table ``t`` shuffles its active positive, then
-        negative sequences, each list in sid order, with ``rngs[t]``, and a
+        negative sequences, each list by ``seq_index``, with ``rngs[t]``, and a
         class sends its shuffled sequences to the prune side until they hold
         ``PRUNE_FRACTION`` of its active rows, keeping the last one for
         growing.  A table with a class of fewer than
@@ -754,63 +725,46 @@ def _cover(tables: list[DurationTable], g_min: float, seeds: list[int]) -> list[
     return found
 
 
-def _learn_batch(batch: list[tuple[int, DurationTable, int]], g_min: float, found: list) -> None:
-    """Learn a batch of (position, table, seed) entries with one ``_cover``
-    call, adding each table's rules to ``found`` at its position."""
-    ks, tables, seeds = zip(*batch)
-    for k, rules in zip(ks, _cover(list(tables), g_min, list(seeds))):
-        found[k][1].extend(rules)
-
-
 def _induce(
     tables: Iterable[DurationTable], g_min: float, seeds: Iterable[int]
 ) -> list[tuple[tuple[str, ...], list[tuple]]]:
     """Each table's multiset and its rules as ``_cover`` returns them, in
     table order; a table with no positive row learns none.
 
-    ``tables`` is read one table at a time, with one seed each.  The tables
-    of each width (column count) wait in one pending batch, which is
-    learned before a table that would take it past ``BATCH_CELLS`` cells
-    joins it, and once it holds ``BATCH_CELLS`` cells; the batches still
-    pending at the end are learned then.  So a larger table is learned
-    alone, and the only tables held are the pending batches, the batch
-    being learned and the table read last.
+    ``tables`` is read one table at a time, with one seed each, and the
+    rules a table learns in a batch are those it learns alone with its
+    seed.  The tables of each width (column count) wait in one pending
+    batch, which is learned, with one ``_cover`` call, before a table that
+    would take it past ``BATCH_CELLS`` cells joins it, and once it holds
+    ``BATCH_CELLS`` cells; the batches still pending at the end are learned
+    then.  So a larger table is learned alone, and the only tables held are
+    the pending batches, the batch being learned and the table read last.
     """
     found: list[tuple[tuple[str, ...], list[tuple]]] = []
     pending: dict[int, tuple[int, list]] = {}  # width -> (cells, batch)
+
+    def learn(batch: list[tuple[int, DurationTable, int]]) -> None:
+        ks, members, member_seeds = zip(*batch)
+        for k, rules in zip(ks, _cover(list(members), g_min, list(member_seeds))):
+            found[k][1].extend(rules)
+
     for table, seed in zip(tables, seeds, strict=True):
         found.append((table.multiset, []))
         if table.labels.any():
             width, size = len(table.pairs), table.durations.size
             cells, batch = pending.pop(width, (0, []))
             if batch and cells + size > BATCH_CELLS:
-                _learn_batch(batch, g_min, found)
+                learn(batch)
                 cells, batch = 0, []
             batch.append((len(found) - 1, table, seed))
             if cells + size < BATCH_CELLS:
                 pending[width] = (cells + size, batch)
             else:
-                _learn_batch(batch, g_min, found)
+                learn(batch)
             del batch  # a learned batch is freed before the next table is read
     for width in list(pending):
-        _learn_batch(pending.pop(width)[1], g_min, found)
+        learn(pending.pop(width)[1])
     return found
-
-
-def induce_rules_batch(
-    tables: Iterable[DurationTable], g_min: float, seeds: Iterable[int]
-) -> list[list[NumericalRule]]:
-    """``induce_rules`` on several tables at once: each table's rules, the
-    same as it gets alone with its seed.
-
-    The tables are learned in batches of one width (``_induce``), each a
-    ``_Batch`` whose columns are presorted once.  Its covering rounds run
-    in lockstep: one grow/prune split for all its tables, one segmented
-    ``_Batch.best`` step per condition for every table that still grows,
-    and one pruning pass and one acceptance test for all of them.  So a
-    round costs a few numpy calls for the whole batch, not a few per table.
-    """
-    return [[NumericalRule(r) for r, *_ in found] for _, found in _induce(tables, g_min, seeds)]
 
 
 def induce_chronicles(
@@ -820,8 +774,8 @@ def induce_chronicles(
     seeds: Iterable[int],
     sigma: int,
 ) -> list[MinedChronicle]:
-    """The discriminant chronicles among the tables' rules, as
-    ``induce_rules_batch`` learns them: those that pass
+    """The discriminant chronicles among the tables' rules, as ``_induce``
+    learns them: those that pass
     ``is_discriminant`` at ``sigma`` and ``g_min`` at sequence level, in
     table order.  The tables must be built from ``dataset``; they are read
     one at a time, so they may come from a generator that builds them.
@@ -861,9 +815,10 @@ def induce_rules(table: DurationTable, g_min: float, seed: int = 0) -> list[Nume
     rules.  The support threshold is not applied here: it is enforced at
     sequence level after reevaluation.  Degenerate tables: all-positive rows
     yield the single unconstrained rule, all-negative (or empty) tables
-    yield nothing.  This is a batch of one of ``induce_rules_batch``.
+    yield nothing.  The table is ``_induce``'s stream of one.
     """
-    return induce_rules_batch([table], g_min, [seed])[0]
+    ((_, found),) = _induce([table], g_min, [seed])
+    return [NumericalRule(rule) for rule, *_ in found]
 
 
 def translate(rule: NumericalRule, multiset: Iterable[str]) -> Chronicle:

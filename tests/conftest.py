@@ -66,11 +66,12 @@ def negatives_only_chronicle():
 def duration_fixture():
     """Six-row relational duration fixture for the rule learner.
 
-    Columns follow pair order (0,1)=A->B, (0,2)=A->C, (1,2)=B->C.
+    Columns follow pair order (0,1)=A->B, (0,2)=A->C, (1,2)=B->C.  The rows
+    come from reference sequences 1, 1, 2, 3, 5 and 6, at their positions
+    in the reference dataset.
     """
     return DurationTable(
         multiset=("A", "B", "C"),
-        sids=("1", "1", "2", "3", "5", "6"),
         durations=np.array(
             [
                 [2, 4, 2],
@@ -83,6 +84,7 @@ def duration_fixture():
             dtype=float,
         ),
         labels=np.array([1, 1, 1, 1, 0, 0], dtype=bool),
+        seq_index=np.array([0, 0, 1, 2, 4, 5]),
     )
 
 

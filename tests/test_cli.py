@@ -7,7 +7,7 @@ import pytest
 from chronomine import generate_synthetic, load_spec_json, save_dataset_csv
 from chronomine.cli import main
 
-from test_io import write_reference_csv
+from test_io import overflow_csv, write_reference_csv
 
 SPEC = {
     "n_pos": 40,
@@ -95,6 +95,16 @@ class TestMine:
         path.write_bytes(b"sid,event,timestamp,label\ns,caf\xe9,1,+\n")
         assert main(["mine", "--input", str(path)]) == 1
         assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_durations_that_overflow_are_exit_1_naming_the_file(self, tmp_path, capsys):
+        # loaded, this input gave (A, B) with bounds [null, null] and
+        # supports 3/0 that rescoring made 6/3
+        path = overflow_csv(tmp_path / "overflow.csv")
+        argv = ["mine", "--input", str(path), "--min-support", "2", "--min-growth", "3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: sequence 'p0'")
+        assert "Traceback" not in err
 
     def test_strict_growth_flag_is_gone(self, dataset_csv, capsys):
         with pytest.raises(SystemExit):

@@ -34,6 +34,23 @@ BAD_FIELDS = {
 }
 
 
+#: Rows, after the header, of a file whose positives p0..p2 span
+#: -1e308 to 1e308, a duration that overflows to inf; p3..p5 and the
+#: negatives n0..n2 hold A at 0 and B at 5.
+OVERFLOW_ROWS = [
+    *(f"p{k},{e},{t}" for k in range(3) for e, t in (("A", "-1e308"), ("B", "1e308"))),
+    *(f"{sid},{e},{t}" for sid in ("p3", "p4", "p5") for e, t in (("A", 0), ("B", 5))),
+    *(f"{sid},{e},{t}" for sid in ("n0", "n1", "n2") for e, t in (("A", 0), ("B", 5))),
+]
+
+
+def overflow_csv(path):
+    """A dataset CSV with the ``OVERFLOW_ROWS``, labeled by their sid."""
+    rows = [f"{row},{'+' if row.startswith('p') else '-'}" for row in OVERFLOW_ROWS]
+    path.write_text("\n".join(["sid,event,timestamp,label", *rows]) + "\n")
+    return path
+
+
 def write_reference_csv(path):
     lines = ["sid,event,timestamp,label"]
     for sid, events, label in REFERENCE_ROWS:
@@ -107,6 +124,17 @@ class TestLoadCsv:
         with pytest.raises(InputError, match=r"latin1\.csv: not UTF-8 text \(byte 0xe9"):
             load_csv(path)
 
+    def test_blank_rows_skipped_and_field_count_checked(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("sid,event,timestamp,label\n\ns,A,1,+\n\ns,A,1\n")
+        with pytest.raises(InputError, match=r"bad\.csv:5: expected 4 fields, got 3"):
+            load_csv(path)
+
+    def test_span_beyond_the_float_range_names_the_file_and_sid(self, tmp_path):
+        path = overflow_csv(tmp_path / "overflow.csv")
+        with pytest.raises(InputError, match=r"overflow\.csv: sequence 'p0' spans .* not a finite"):
+            load_csv(path)
+
 
 class TestLoadTimelineCsv:
     def test_rows_grouped_by_sid(self, tmp_path):
@@ -126,6 +154,25 @@ class TestLoadTimelineCsv:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"sid,event,timestamp\ns,\xff,1\n")
         with pytest.raises(InputError, match=r"bad\.csv: not UTF-8 text"):
+            load_timeline_csv(path)
+
+    def test_span_beyond_the_float_range_names_the_file_and_sid(self, tmp_path):
+        path = tmp_path / "overflow.csv"
+        path.write_text("\n".join(["sid,event,timestamp", *OVERFLOW_ROWS]) + "\n")
+        with pytest.raises(InputError, match=r"overflow\.csv: sequence 'p0' spans .* not a finite"):
+            load_timeline_csv(path)
+
+    @pytest.mark.parametrize("header", ["sid,event", "sid,event,timestamp,label"])
+    def test_wrong_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(InputError, match="expected header 'sid,event,timestamp'"):
+            load_timeline_csv(path)
+
+    def test_blank_rows_skipped_and_field_count_checked(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("sid,event,timestamp\n\na,X,5\n\na,X\n")
+        with pytest.raises(InputError, match=r"bad\.csv:5: expected 3 fields, got 2"):
             load_timeline_csv(path)
 
 

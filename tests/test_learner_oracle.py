@@ -4,9 +4,9 @@ The oracle below is the learner as it was before its columns were
 presorted and its gains computed in numpy, and before several tables were
 learned in one segmented batch: one table at a time, ``np.unique`` per
 column, one ``math.log2`` per label boundary, a grow/prune split that
-counts rows per sid string, reduced-error pruning with one mask per
-condition, and rule merging by intervals per pair.  Both learners must
-return identical rules.
+counts rows per sequence position in a ``Counter``, reduced-error pruning
+with one mask per condition, and rule merging by intervals per pair.  Both
+learners must return identical rules.
 """
 
 import math
@@ -26,8 +26,8 @@ from chronomine.rules import (
     DurationTable,
     NumericalRule,
     _Batch,
+    _induce,
     induce_rules,
-    induce_rules_batch,
 )
 
 from conftest import BOUNDED
@@ -94,27 +94,30 @@ def oracle_grow(durations, labels, names):
     return conditions
 
 
-def oracle_split_rows(sids, labels, active, rng):
+def oracle_split_rows(seq_index, labels, active, rng):
+    """Grow and prune rows, each class's sequences shuffled in position
+    order; None when a class is too small to split."""
+    seqs = np.asarray(seq_index).tolist()
     grow = active.copy()
     prune = np.zeros_like(active)
     for label_value in (True, False):
         rows_idx = np.nonzero(active & (labels == label_value))[0]
         n_rows = len(rows_idx)
-        counts = Counter(sids[i] for i in rows_idx)
-        class_sids = sorted(counts)
-        if n_rows < MIN_ROWS_FOR_PRUNING or len(class_sids) < 2:
+        counts = Counter(seqs[i] for i in rows_idx)
+        class_seqs = sorted(counts)
+        if n_rows < MIN_ROWS_FOR_PRUNING or len(class_seqs) < 2:
             return None
-        rng.shuffle(class_sids)
+        rng.shuffle(class_seqs)
         target = n_rows * PRUNE_FRACTION
         taken = 0
         chosen = set()
-        for sid in class_sids[:-1]:  # at least one sid stays in the grow set
+        for seq in class_seqs[:-1]:  # at least one sequence stays in the grow set
             if taken >= target:
                 break
-            chosen.add(sid)
-            taken += counts[sid]
+            chosen.add(seq)
+            taken += counts[seq]
         in_prune = np.fromiter(
-            (sids[i] in chosen for i in rows_idx), dtype=bool, count=n_rows
+            (seqs[i] in chosen for i in rows_idx), dtype=bool, count=n_rows
         )
         prune_rows = rows_idx[in_prune]
         grow[prune_rows] = False
@@ -181,7 +184,7 @@ def oracle_induce_rules(table, g_min, seed=0):
     rules = []
     while np.count_nonzero(remaining) > 0:
         active = remaining | ~labels
-        split = oracle_split_rows(table.sids, labels, active, rng)
+        split = oracle_split_rows(table.seq_index, labels, active, rng)
         if split is None:
             grow_mask, prune_mask = active, None
         else:
@@ -210,15 +213,16 @@ def oracle_induce_rules(table, g_min, seed=0):
 def duration_tables(draw, size=None):
     """Tables of 1, 3 or 6 columns (``size`` items) over a multiset that
     may repeat a type, several rows per sequence, and few distinct integer
-    durations, so that values, gains and tie-break keys often tie.  Sid
-    order differs from numeric order ("10" < "9"), and rows may interleave
-    sequences."""
+    durations, so that values, gains and tie-break keys often tie.  Each
+    sequence has its own position, in no order of the labels and with the
+    gaps that a dataset's sequences without the multiset leave, and rows
+    may interleave sequences."""
     if size is None:
         size = draw(st.integers(2, 4))
     multiset = tuple(sorted(draw(st.lists(st.sampled_from("AB"), min_size=size, max_size=size))))
     n_cols = size * (size - 1) // 2
     n_seqs = draw(st.integers(1, 12))
-    sid_numbers = draw(st.lists(st.integers(0, 40), min_size=n_seqs, max_size=n_seqs, unique=True))
+    positions = draw(st.lists(st.integers(0, 40), min_size=n_seqs, max_size=n_seqs, unique=True))
     seq_labels = draw(st.lists(st.booleans(), min_size=n_seqs, max_size=n_seqs))
     rows_per_seq = draw(st.lists(st.integers(1, 5), min_size=n_seqs, max_size=n_seqs))
     row_seqs = [k for k in range(n_seqs) for _ in range(rows_per_seq[k])]
@@ -232,23 +236,11 @@ def duration_tables(draw, size=None):
             max_size=len(row_seqs) * n_cols,
         )
     )
-    seq_index = None
-    if draw(st.booleans()):
-        # positions in a dataset, as build_duration_table gives: the
-        # positives, then the negatives, each in sid order, with gaps for
-        # the dataset's sequences that do not hold the multiset
-        in_dataset = sorted(range(n_seqs), key=lambda k: (not seq_labels[k], str(sid_numbers[k])))
-        gaps = draw(st.lists(st.integers(0, 3), min_size=n_seqs, max_size=n_seqs))
-        positions = [0] * n_seqs
-        for rank, k in enumerate(in_dataset):
-            positions[k] = rank + sum(gaps[: rank + 1])
-        seq_index = np.array([positions[k] for k in row_seqs], dtype=np.int32)
     return DurationTable(
         multiset=multiset,
-        sids=tuple(str(sid_numbers[k]) for k in row_seqs),
         durations=np.array(values, dtype=float),
         labels=np.array([seq_labels[k] for k in row_seqs], dtype=bool),
-        seq_index=seq_index,
+        seq_index=np.array([positions[k] for k in row_seqs], dtype=np.int32),
     )
 
 
@@ -261,16 +253,16 @@ def table_batches(draw):
     special = [
         DurationTable(
             multiset=model.multiset,
-            sids=(),
             durations=np.empty((0, len(model.pairs))),
             labels=np.empty(0, dtype=bool),
+            seq_index=np.empty(0, dtype=np.int32),
         ),
         *(
             DurationTable(
                 multiset=model.multiset,
-                sids=model.sids,
                 durations=model.durations,
                 labels=np.full(len(model), label),
+                seq_index=model.seq_index,
             )
             for label in (True, False)
         ),
@@ -344,14 +336,18 @@ def test_induce_rules_matches_oracle(table, g_min, seed):
 
 @BOUNDED
 @given(tables=table_batches(), data=st.data())
-def test_induce_rules_batch_matches_oracle(tables, data):
+def test_batched_learning_matches_oracle(tables, data):
     g_min = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=len(tables), max_size=len(tables)))
-    got = induce_rules_batch(tables, g_min, seeds)
+
+    def learned(tables, seeds):
+        return [[NumericalRule(r) for r, *_ in found] for _, found in _induce(tables, g_min, seeds)]
+
+    got = learned(tables, seeds)
     assert got == [
         oracle_induce_rules(table, g_min, seed=seed) for table, seed in zip(tables, seeds)
     ]
-    assert induce_rules_batch(tables[::-1], g_min, seeds[::-1]) == got[::-1]
+    assert learned(tables[::-1], seeds[::-1]) == got[::-1]
 
 
 @BOUNDED
@@ -411,7 +407,6 @@ def test_rules_do_not_depend_on_the_durations_layout(table, seed):
     for layout in (np.ascontiguousarray(durations), np.asfortranarray(durations), padded[::2, ::2]):
         copy = DurationTable(
             multiset=table.multiset,
-            sids=table.sids,
             durations=layout,
             labels=table.labels,
             seq_index=table.seq_index,
@@ -435,16 +430,16 @@ def test_batched_split_matches_oracle(tables, data):
         # and a table, all active, whose positives are sequences of 1 and 8
         # rows, whose prune target only the last one reaches, and whose
         # negatives are three sequences of 3 rows, whose target two reach
-        row_sids = ["1"] + ["2"] * 8 + ["3"] * 3 + ["4"] * 3 + ["5"] * 3
+        row_seqs = [0] + [1] * 8 + [2] * 3 + [3] * 3 + [4] * 3
         at = data.draw(st.integers(0, len(group)))
-        actives.insert(at, np.ones(len(row_sids), dtype=bool))
+        actives.insert(at, np.ones(len(row_seqs), dtype=bool))
         group.insert(
             at,
             DurationTable(
                 multiset=group[0].multiset,
-                sids=tuple(row_sids),
-                durations=np.zeros((len(row_sids), width)),
-                labels=np.array([sid in ("1", "2") for sid in row_sids]),
+                durations=np.zeros((len(row_seqs), width)),
+                labels=np.array([k < 2 for k in row_seqs]),
+                seq_index=np.array(row_seqs),
             ),
         )
         batch = _Batch(group)
@@ -458,7 +453,7 @@ def test_batched_split_matches_oracle(tables, data):
             rng = random.Random(seeds[t])
             expected = None
             if t in ts:
-                expected = oracle_split_rows(table.sids, table.labels, actives[t], rng)
+                expected = oracle_split_rows(table.seq_index, table.labels, actives[t], rng)
             if expected is None:
                 assert not prune[rows].any()
             else:
@@ -519,7 +514,7 @@ def test_winning_gain_is_math_log2_where_numpy_differs():
     durations[p + n :] = 1.0
     covered = np.ones(n_rows, dtype=bool)
     table = DurationTable(
-        multiset=("A", "B"), sids=tuple(map(str, range(n_rows))), durations=durations, labels=labels
+        multiset=("A", "B"), durations=durations, labels=labels, seq_index=np.arange(n_rows)
     )
     (found,) = segmented_best([table], [covered])
     expected = p * (math.log2(p / (p + n)) - math.log2(p / n_rows))
@@ -531,20 +526,20 @@ def test_split_keeps_one_sequence_of_each_class_for_growing():
     # one sequence per class holds most of its class's rows, so the prune
     # target is only met by taking it; it must stay on the grow side when
     # the shuffle puts it last
-    row_sids = ["1"] + ["2"] * 8 + ["3"] * 7 + ["4"]
-    labels = np.array([sid in ("1", "2") for sid in row_sids])
+    row_seqs = [0] + [1] * 8 + [2] * 7 + [3]
+    labels = np.array([k < 2 for k in row_seqs])
     table = DurationTable(
         multiset=("A", "B"),
-        sids=tuple(row_sids),
-        durations=np.zeros((len(row_sids), 1)),
+        durations=np.zeros((len(row_seqs), 1)),
         labels=labels,
+        seq_index=np.array(row_seqs),
     )
     active = np.ones(len(table), dtype=bool)
     batch = _Batch([table])
     for seed in range(8):
         prune = batch.split([0], active, [random.Random(seed)])
         grow = active & ~prune
-        expected = oracle_split_rows(table.sids, labels, active, random.Random(seed))
+        expected = oracle_split_rows(table.seq_index, labels, active, random.Random(seed))
         assert (grow == expected[0]).all() and (prune == expected[1]).all()
         assert (grow & labels).any() and (grow & ~labels).any()
 
@@ -561,7 +556,7 @@ def test_array_log_only_shortlists(monkeypatch):
     labels = np.arange(9) < 4
     covered = np.ones(9, dtype=bool)
     table = DurationTable(
-        multiset=("A", "B", "C"), sids=tuple(map(str, range(9))), durations=durations, labels=labels
+        multiset=("A", "B", "C"), durations=durations, labels=labels, seq_index=np.arange(9)
     )
     expected = oracle_best_condition(durations, labels, covered, table.names)
     assert expected[1:] == (1, 0, _LE, 0.0)

@@ -140,6 +140,17 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence("s", (), "positive")
 
+    def test_span_beyond_the_float_range_rejected(self):
+        # every timestamp is finite, but B - A overflows to inf
+        events = (Event("B", 1e308), Event("C", 0), Event("A", -1e308))
+        with pytest.raises(ValueError, match=r"sequence 'p0' spans -1e\+308 to 1e\+308, .* not a"):
+            Sequence("p0", events, "+")
+
+    def test_finite_spans_accepted(self):
+        assert len(Sequence("s", (Event("A", -5e307), Event("B", 1e308)), "+")) == 2
+        assert len(Sequence("s", (Event("A", 1.7e308),), "-")) == 1
+        assert len(Sequence("s", (), "-")) == 0
+
 
 class TestSequenceDataset:
     def test_duplicate_sids_rejected(self):

@@ -22,3 +22,10 @@ def test_removed_names_are_gone():
     for name in ("BATCH_TABLES", "BATCH_CELLS", "SLICES_PER_WORKER"):
         assert not hasattr(pipeline, name)
     assert "strict_growth" not in {f.name for f in dataclasses.fields(chronomine.DcmConfig)}
+    # the learner has one entry path, and a table's rows one key, seq_index
+    assert "induce_rules_batch" not in chronomine.__all__
+    assert not hasattr(chronomine, "induce_rules_batch")
+    assert not hasattr(rules, "induce_rules_batch")
+    assert not hasattr(rules, "_learn_batch")
+    for name in ("sids", "to_csv", "sequences"):
+        assert not hasattr(rules.DurationTable, name)

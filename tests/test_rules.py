@@ -24,15 +24,15 @@ class TestBuildDurationTable:
         table = build_duration_table(("A", "B", "C"), reference_dataset)
         # 4 + 1 + 4 + 1 + 1 + 2 canonical occurrences over the six sequences
         assert len(table) == 13
-        rows = {tuple(r) for r in table.durations[np.array(table.sids) == "1"]}
+        rows = {tuple(r) for r in table.durations[table.seq_index == 0]}  # sequence "1"
         # pair columns: A->B, A->C, B->C
         assert (2.0, 4.0, 2.0) in rows  # occurrence (A@1, B@3, C@5)
         assert (-1.0, 1.0, 2.0) in rows  # occurrence (A@4, B@3, C@5): negative duration
 
     def test_labels_follow_sequences(self, reference_dataset):
         table = build_duration_table(("A", "B", "C"), reference_dataset)
-        for sid, label in zip(table.sids, table.labels):
-            assert label == (sid in {"1", "2", "3"})
+        for k, label in zip(table.seq_index, table.labels):
+            assert label == (reference_dataset.sequences[k].sid in {"1", "2", "3"})
 
     def test_absent_multiset_contributes_no_rows(self, reference_dataset):
         table = build_duration_table(("D", "E"), reference_dataset)
@@ -58,14 +58,6 @@ class TestBuildDurationTable:
         assert attribute_names(("A", "A", "B")) == ("A->A", "A->B[0]", "A->B[1]")
         assert attribute_names(("A", "B", "C")) == ("A->B", "A->C", "B->C")
 
-    def test_csv_dump_roundtrips_shape(self, reference_dataset, tmp_path):
-        table = build_duration_table(("A", "B"), reference_dataset)
-        path = tmp_path / "table.csv"
-        table.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "sid,A->B,label"
-        assert len(path.read_text().splitlines()) == len(table) + 1
-
 
 class TestInduceRules:
     def test_golden_fixture(self, duration_fixture):
@@ -84,18 +76,18 @@ class TestInduceRules:
     def test_identical_classes_yield_nothing(self):
         table = DurationTable(
             multiset=("A", "B"),
-            sids=("1", "2", "3", "4"),
             durations=np.array([[1.0], [2.0], [1.0], [2.0]]),
             labels=np.array([1, 1, 0, 0], dtype=bool),
+            seq_index=np.arange(4),
         )
         assert induce_rules(table, g_min=2.0) == []
 
     def test_single_separating_attribute(self):
         table = DurationTable(
             multiset=("A", "B"),
-            sids=("1", "2", "3", "4"),
             durations=np.array([[10.0], [10.0], [0.0], [0.0]]),
             labels=np.array([1, 1, 0, 0], dtype=bool),
+            seq_index=np.arange(4),
         )
         rules = induce_rules(table, g_min=2.0)
         assert len(rules) == 1
@@ -106,18 +98,18 @@ class TestInduceRules:
     def test_positive_only_table_gives_unconstrained_rule(self):
         table = DurationTable(
             multiset=("A", "B"),
-            sids=("1", "2"),
             durations=np.array([[1.0], [2.0]]),
             labels=np.array([1, 1], dtype=bool),
+            seq_index=np.arange(2),
         )
         assert induce_rules(table, g_min=2.0) == [NumericalRule()]
 
     def test_negative_only_table_gives_nothing(self):
         table = DurationTable(
             multiset=("A", "B"),
-            sids=("1",),
             durations=np.array([[1.0]]),
             labels=np.array([0], dtype=bool),
+            seq_index=np.arange(1),
         )
         assert induce_rules(table, g_min=2.0) == []
 
@@ -130,9 +122,9 @@ class TestInduceRules:
         durations[labels, 0] = rng.uniform(10, 20, size=n // 2)
         table = DurationTable(
             multiset=("A", "B"),
-            sids=tuple(f"s{i}" for i in range(n)),
             durations=durations,
             labels=labels,
+            seq_index=np.arange(n),
         )
         g_min = 2.0
         rules = induce_rules(table, g_min=g_min, seed=11)

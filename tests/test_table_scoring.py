@@ -27,10 +27,8 @@ from chronomine import (
     enumerate_occurrences,
     frequent_multisets,
     generate_synthetic,
-    induce_rules_batch,
     is_discriminant,
     reevaluate,
-    translate,
 )
 from chronomine.matcher import TypeIndex
 from chronomine.rules import induce_chronicles
@@ -86,7 +84,7 @@ def test_table_rows_equal_the_matchers_occurrences(seed, cap):
             warnings.simplefilter("ignore", OccurrenceCapWarning)
             table = build_duration_table(ms, ds, cap=cap, index=index)
         chronicle = Chronicle.unconstrained(ms)
-        sids, seq_index, rows, capped = [], [], [], []
+        seq_index, rows, capped = [], [], []
         for k, seq in enumerate(ds.sequences):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", OccurrenceCapWarning)
@@ -95,13 +93,11 @@ def test_table_rows_equal_the_matchers_occurrences(seed, cap):
                 capped.append(k)
             for occ in occurrences:
                 t = occ.timestamps
-                sids.append(seq.sid)
                 seq_index.append(k)
                 rows.append([t[j] - t[i] for i, j in table.pairs])
-        assert table.sids == tuple(sids)
         assert table.seq_index.tolist() == seq_index
         assert np.array_equal(table.durations, np.asarray(rows).reshape(table.durations.shape))
-        assert table.labels.tolist() == [sid.startswith("p") for sid in sids]
+        assert table.labels.tolist() == [ds.sequences[k].label == "+" for k in seq_index]
         assert table.capped == tuple(capped)
 
 
@@ -163,9 +159,9 @@ def test_table_scores_equal_matcher_scores(seed, cap):
         ]
     seeds = [seed + k for k in range(len(tables))]
     expected = []
-    for table, rules in zip(tables, induce_rules_batch(tables, 1.5, seeds)):
-        for rule in rules:
-            mined = reevaluate(translate(rule, table.multiset), ds)
+    for multiset, found in rules._induce(tables, 1.5, seeds):
+        for rule, *_ in found:
+            mined = reevaluate(Chronicle.build(multiset, rule), ds)
             if mined.supp_pos >= 1 and mined.growth_rate >= 1.5:
                 expected.append(mined)
     assert induce_chronicles(tables, ds, 1.5, seeds, 1) == expected
