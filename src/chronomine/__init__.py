@@ -21,14 +21,7 @@ from .io import (
     render,
     save_dataset_csv,
 )
-from .itemsets import (
-    IndexedItem,
-    Transaction,
-    decode_to_multisets,
-    encode,
-    frequent_multisets,
-    mine_frequent_itemsets,
-)
+from .itemsets import frequent_multisets
 from .matcher import (
     DEFAULT_OCCURRENCE_CAP,
     Occurrence,
@@ -76,12 +69,7 @@ __all__ = [
     "load_timeline_csv",
     "render",
     "save_dataset_csv",
-    "IndexedItem",
-    "Transaction",
-    "decode_to_multisets",
-    "encode",
     "frequent_multisets",
-    "mine_frequent_itemsets",
     "DEFAULT_OCCURRENCE_CAP",
     "Occurrence",
     "OccurrenceCapWarning",

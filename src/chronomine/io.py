@@ -32,8 +32,6 @@ from .model import (
 DATASET_HEADER = ["sid", "event", "timestamp", "label"]
 TIMELINE_HEADER = ["sid", "event", "timestamp"]
 
-EXPORT_FORMATS = ("json", "csv", "dot")
-
 
 # ---------------------------------------------------------------------------
 # dataset CSV
@@ -156,7 +154,7 @@ def load_timeline_csv(path) -> dict[str, list[Event]]:
 # ---------------------------------------------------------------------------
 # chronicle serialization
 
-def _bound_to_json(value: float):
+def _number_to_json(value: float):
     return None if math.isinf(value) else value
 
 
@@ -186,14 +184,14 @@ def chronicle_to_obj(mined: MinedChronicle) -> dict:
             {
                 "from": tc.from_index,
                 "to": tc.to_index,
-                "lower": _bound_to_json(tc.lower),
-                "upper": _bound_to_json(tc.upper),
+                "lower": _number_to_json(tc.lower),
+                "upper": _number_to_json(tc.upper),
             }
             for tc in c.constraints
         ],
         "supp_pos": mined.supp_pos,
         "supp_neg": mined.supp_neg,
-        "growth": None if math.isinf(mined.growth_rate) else mined.growth_rate,
+        "growth": _number_to_json(mined.growth_rate),
     }
 
 
@@ -253,9 +251,14 @@ def load_chronicles_json(path) -> list[Chronicle]:
 # ---------------------------------------------------------------------------
 # result export
 
+def _number_text(value: float) -> str:
+    """A bound or growth rate as CSV and DOT text; infinities read "inf"
+    and "-inf"."""
+    return f"{value:g}"
+
+
 def _interval_text(lower: float, upper: float) -> str:
-    fmt = lambda v: "-inf" if v == -math.inf else ("inf" if v == math.inf else f"{v:g}")
-    return f"[{fmt(lower)},{fmt(upper)}]"
+    return f"[{_number_text(lower)},{_number_text(upper)}]"
 
 
 def render_json(results: Iterable[MinedChronicle]) -> str:
@@ -274,7 +277,7 @@ def render_csv(results: Iterable[MinedChronicle]) -> str:
             f"{tc.from_index}->{tc.to_index}:{_interval_text(tc.lower, tc.upper)}"
             for tc in c.constraints
         )
-        growth = "inf" if math.isinf(m.growth_rate) else f"{m.growth_rate:g}"
+        growth = _number_text(m.growth_rate)
         writer.writerow(["|".join(c.items), constraints, m.supp_pos, m.supp_neg, growth])
     return buf.getvalue()
 
@@ -286,7 +289,7 @@ def render_dot(results: Iterable[MinedChronicle]) -> str:
     lines = []
     for idx, m in enumerate(results):
         c = m.chronicle
-        growth = "inf" if math.isinf(m.growth_rate) else f"{m.growth_rate:g}"
+        growth = _number_text(m.growth_rate)
         lines.append(f"digraph chronicle_{idx} {{")
         lines.append("  rankdir=LR;")
         lines.append(
@@ -305,6 +308,7 @@ def render_dot(results: Iterable[MinedChronicle]) -> str:
 
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "dot": render_dot}
+EXPORT_FORMATS = tuple(_RENDERERS)
 
 
 def render(results: Iterable[MinedChronicle], fmt: str) -> str:
@@ -359,12 +363,12 @@ def crossover_split(
     """
     sequences = []
     for sid in sorted(timelines):
-        events = sorted(timelines[sid], key=lambda e: (e.timestamp, e.event_type))
+        events = list(timelines[sid])
         outcome_times = [e.timestamp for e in events if e.event_type == cfg.outcome]
         if not outcome_times:
             warnings.warn(f"patient {sid!r} has no {cfg.outcome!r} event; skipped")
             continue
-        t0 = outcome_times[0]
+        t0 = min(outcome_times)
         pos_start = t0 - cfg.gap - cfg.window
         neg_start = t0 - cfg.gap - 2 * cfg.window
         pos_events = tuple(e for e in events if pos_start <= e.timestamp < t0 - cfg.gap)

@@ -14,10 +14,12 @@ support.  An itemset holding two indices of the same type is redundant
 never extends a prefix by a second index of its last type: each multiset
 is produced once and nothing needs decoding.
 
-``encode``, ``mine_frequent_itemsets`` and ``decode_to_multisets`` are the
-encoding spelled out step by step (transactions, a generic frequent itemset
-miner over set tidsets, then a decoder that drops the redundant itemsets).
-They are kept as the reference that the bitset search is tested against.
+``encode``, ``mine_frequent_itemsets`` and ``decode_to_multisets`` (with
+``IndexedItem`` and ``Transaction``) are the encoding spelled out step by
+step (transactions, a generic frequent itemset miner over set tidsets, then
+a decoder that drops the redundant itemsets).  They are kept here, and only
+here, as the reference that the bitset search is tested against: the
+package does not export them, and ``dcm`` does not call them.
 """
 
 from __future__ import annotations

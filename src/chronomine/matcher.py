@@ -136,26 +136,34 @@ def _search(
     for tc in chronicle.constraints:
         incoming[tc.to_index].append((tc.from_index, tc.lower, tc.upper))
 
-    mapping = [0] * m
-    times = [0.0] * m
+    yield from _extend(0, 0, items, events, buckets, incoming, [0] * m, [0.0] * m)
 
-    def extend(k: int, start: int) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
-        bucket = buckets[items[k]]
-        checks = incoming[k]
-        for bi in range(start, len(bucket)):
-            pos = bucket[bi]
-            t = events[pos].timestamp
-            if any(not (lo <= t - times[i] <= hi) for i, lo, hi in checks):
-                continue
-            mapping[k] = pos
-            times[k] = t
-            if k + 1 == m:
-                yield tuple(mapping), tuple(times)
-            else:
-                next_start = bi + 1 if items[k + 1] == items[k] else 0
-                yield from extend(k + 1, next_start)
 
-    yield from extend(0, 0)
+def _extend(
+    k: int, start: int, items, events, buckets, incoming, mapping, times
+) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
+    """Yield ``_search``'s results that map item ``k`` to an event of its
+    bucket from index ``start`` on, and items 0..k-1 as they are mapped now.
+
+    The other arguments are the search's own: ``mapping`` and ``times``
+    hold the current partial assignment.  A module-level function, not a
+    closure: a closure that calls itself is a reference cycle, which only
+    the cyclic garbage collector frees (see ``itemsets._grow``).
+    """
+    bucket = buckets[items[k]]
+    checks = incoming[k]
+    for bi in range(start, len(bucket)):
+        pos = bucket[bi]
+        t = events[pos].timestamp
+        if any(not (lo <= t - times[i] <= hi) for i, lo, hi in checks):
+            continue
+        mapping[k] = pos
+        times[k] = t
+        if k + 1 == len(items):
+            yield tuple(mapping), tuple(times)
+        else:
+            next_start = bi + 1 if items[k + 1] == items[k] else 0
+            yield from _extend(k + 1, next_start, items, events, buckets, incoming, mapping, times)
 
 
 def enumerate_occurrences(

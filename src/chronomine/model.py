@@ -12,32 +12,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 POSITIVE = "+"
 NEGATIVE = "-"
 
-NEG_INF = float("-inf")
-POS_INF = float("inf")
-
 #: Interval meaning "no constraint" on a pair.
-UNBOUNDED = (NEG_INF, POS_INF)
+UNBOUNDED = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
 class Event:
-    """A single timestamped occurrence of an event type."""
+    """A single timestamped occurrence of an event type; the timestamp is a
+    float, and not NaN."""
 
     event_type: str
     timestamp: float
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+        timestamp = float(self.timestamp)
+        if timestamp != timestamp:  # only NaN differs from itself
+            raise ValueError(f"event {self.event_type!r} has a NaN timestamp")
+        object.__setattr__(self, "timestamp", timestamp)
 
 
-def _sequence_order(event: Event) -> tuple[float, str]:
-    # Events are ordered by timestamp, ties broken by event type.
-    return (event.timestamp, event.event_type)
+#: The order of a sequence's events: by timestamp, ties broken by type.
+_EVENT_ORDER = attrgetter("timestamp", "event_type")
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Sequence:
     def __post_init__(self):
         if self.label not in (POSITIVE, NEGATIVE):
             raise ValueError(f"label must be {POSITIVE!r} or {NEGATIVE!r}, got {self.label!r}")
-        events = tuple(sorted(self.events, key=_sequence_order))
+        events = tuple(sorted(self.events, key=_EVENT_ORDER))
         if events and not math.isfinite(events[-1].timestamp - events[0].timestamp):
             raise ValueError(
                 f"sequence {self.sid!r} spans {events[0].timestamp!r} to "
@@ -124,7 +125,7 @@ class SequenceDataset:
         return self.positives + self.negatives
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TemporalConstraint:
     """Interval constraint on the duration between two chronicle items.
 
@@ -134,6 +135,7 @@ class TemporalConstraint:
     mean "before").
     Constraints are stored only on ordered pairs (from_index < to_index);
     the reversed direction is expressed by negating and swapping the bounds.
+    Constraints order by (from_index, to_index, lower, upper).
     """
 
     from_index: int
@@ -176,13 +178,15 @@ def _constraint_key(tc: TemporalConstraint) -> tuple[int, int]:
     return (tc.from_index, tc.to_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Chronicle:
     """An event-type multiset with temporal constraints between its items.
 
     ``items`` is the multiset stored as a non-decreasing tuple (duplicates
     allowed).  ``constraints`` holds at most one constraint per ordered item
-    pair; an absent pair is unconstrained.
+    pair, sorted by pair; an absent pair is unconstrained.  Chronicles
+    order by items, then by their constraints in turn, which is how ``dcm``
+    breaks ties between chronicles of equal supports.
     """
 
     items: tuple[str, ...]
@@ -192,7 +196,7 @@ class Chronicle:
         items = tuple(self.items)
         if any(items[i] > items[i + 1] for i in range(len(items) - 1)):
             raise ValueError(f"chronicle items must be sorted, got {items}")
-        constraints = tuple(sorted(self.constraints, key=_constraint_key))
+        constraints = tuple(sorted(self.constraints))
         pairs = [_constraint_key(tc) for tc in constraints]
         if len(set(pairs)) != len(pairs):
             raise ValueError("more than one constraint on the same item pair")

@@ -178,24 +178,13 @@ def _worker_count() -> int:
     return workers
 
 
-def _output_order(mined: MinedChronicle):
-    return (
-        -mined.growth_rate,
-        -mined.supp_pos,
-        mined.chronicle.items,
-        tuple(
-            (c.from_index, c.to_index, c.lower, c.upper)
-            for c in mined.chronicle.constraints
-        ),
-    )
-
-
 def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[MinedChronicle]:
     """Mine all discriminant chronicles of the dataset.
 
     Frequency is counted in the positive set only; negatives are consulted
     for discriminancy.  Output is sorted by descending growth rate, then
-    descending positive support, then multiset.
+    descending positive support, then by chronicle in ``Chronicle``'s own
+    order: multiset, then constraints.
     """
     if config is None:
         config = DcmConfig()
@@ -235,4 +224,4 @@ def dcm(dataset: SequenceDataset, config: DcmConfig | None = None) -> list[Mined
     else:
         results.extend(_learn(learned, dataset, index, config, sigma))
 
-    return sorted(results, key=_output_order)
+    return sorted(results, key=lambda m: (-m.growth_rate, -m.supp_pos, m.chronicle))

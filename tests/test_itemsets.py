@@ -5,14 +5,13 @@ from collections import Counter
 
 import pytest
 
-from chronomine import (
-    Chronicle,
+from chronomine import Chronicle, support
+from chronomine.itemsets import (
     IndexedItem,
     Transaction,
     decode_to_multisets,
     encode,
     mine_frequent_itemsets,
-    support,
 )
 
 from conftest import make_sequence, random_sequence

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -150,3 +151,25 @@ class TestAntiMonotonicity:
         assert support(five_item_chronicle, reference_dataset.sequences) == brute_force_support(
             five_item_chronicle, reference_dataset.sequences
         )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, seqs: occurs(c, seqs[0]),
+        lambda c, seqs: support(c, seqs),
+        lambda c, seqs: enumerate_occurrences(c, seqs[0]),
+    ],
+    ids=["occurs", "support", "enumerate_occurrences"],
+)
+def test_leaves_no_garbage_cycles(call, five_item_chronicle, reference_sequences):
+    # the search state must be freed by reference counting when the call
+    # returns, not whenever the cyclic collector next runs
+    seqs = [reference_sequences[sid] for sid in "123456"]
+    gc.collect()
+    gc.disable()
+    try:
+        assert call(five_item_chronicle, seqs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

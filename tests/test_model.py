@@ -121,7 +121,23 @@ class TestTemporalConstraint:
             Chronicle.build(("A", "B"), [(1, 0, *bounds)])
 
 
+class TestEvent:
+    @pytest.mark.parametrize("timestamp", [math.nan, "nan", -math.nan])
+    def test_nan_timestamp_rejected(self, timestamp):
+        with pytest.raises(ValueError, match="'A' has a NaN timestamp"):
+            Event("A", timestamp)
+
+    def test_timestamp_stored_as_float(self):
+        assert Event("A", 3).timestamp == 3.0 and type(Event("A", 3).timestamp) is float
+        assert Event("A", -math.inf).timestamp == -math.inf
+
+
 class TestSequence:
+    def test_nan_event_in_the_middle_rejected(self):
+        # the span check sees only the first and last sorted events
+        with pytest.raises(ValueError, match="NaN"):
+            Sequence("p", (Event("A", 1), Event("B", math.nan), Event("C", 2)), "+")
+
     def test_events_sorted_by_time_then_type(self):
         seq = Sequence(
             "s", (Event("B", 3), Event("A", 3), Event("C", 1)), "+"
@@ -175,6 +191,9 @@ class TestSequenceDataset:
             SequenceDataset(positives=(seq,), negatives=(), alphabet=())
 
 
+BOUNDS = [-math.inf, -1.0, 0.0, 2.0, math.inf]
+
+
 class TestChronicle:
     def test_unsorted_items_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -200,6 +219,32 @@ class TestChronicle:
         c1 = Chronicle.build(("A", "B"), [(0, 1, 1, 2)])
         c2 = Chronicle.build(("A", "B"), [(0, 1, 1, 2)])
         assert c1 == c2 and hash(c1) == hash(c2)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("AB"), min_size=2, max_size=3).map(sorted),
+                st.lists(st.sampled_from(BOUNDS), min_size=6, max_size=6),
+                st.sets(st.integers(0, 2)),
+            ),
+            max_size=8,
+        )
+    )
+    def test_order_is_items_then_each_constraints_fields(self, drawn):
+        chronicles = []
+        for items, bounds, kept in drawn:
+            pairs = [(i, j) for i in range(len(items)) for j in range(i + 1, len(items))]
+            constraints = [
+                (i, j, *sorted(bounds[2 * k : 2 * k + 2]))
+                for k, (i, j) in enumerate(pairs)
+                if k in kept
+            ]
+            chronicles.append(Chronicle.build(items, constraints))
+        written_out = lambda c: (
+            c.items,
+            [(tc.from_index, tc.to_index, tc.lower, tc.upper) for tc in c.constraints],
+        )
+        assert sorted(chronicles) == sorted(chronicles, key=written_out)
 
 
 class TestMinedChronicle:

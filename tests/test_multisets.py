@@ -10,15 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chronomine.pipeline as pipeline
-from chronomine import (
-    DcmConfig,
-    SequenceDataset,
-    dcm,
-    decode_to_multisets,
-    encode,
-    frequent_multisets,
-    mine_frequent_itemsets,
-)
+from chronomine import DcmConfig, SequenceDataset, dcm, frequent_multisets
+from chronomine.itemsets import decode_to_multisets, encode, mine_frequent_itemsets
 from chronomine.matcher import TypeIndex
 
 from conftest import BOUNDED, index_supports, random_sequence

@@ -1,6 +1,8 @@
 import dataclasses
 
 import chronomine
+import chronomine.itemsets as itemsets
+import chronomine.model as model
 import chronomine.pipeline as pipeline
 import chronomine.rules as rules
 from chronomine.matcher import TypeIndex
@@ -29,3 +31,18 @@ def test_removed_names_are_gone():
     assert not hasattr(rules, "_learn_batch")
     for name in ("sids", "to_csv", "sequences"):
         assert not hasattr(rules.DurationTable, name)
+    # the reference encoding lives in itemsets only; the output order
+    # comes from the types, and the infinities and event key are written once
+    for name in (
+        "IndexedItem",
+        "Transaction",
+        "encode",
+        "mine_frequent_itemsets",
+        "decode_to_multisets",
+    ):
+        assert name not in chronomine.__all__
+        assert not hasattr(chronomine, name)
+        assert hasattr(itemsets, name)
+    assert not hasattr(pipeline, "_output_order")
+    for name in ("NEG_INF", "POS_INF", "_sequence_order"):
+        assert not hasattr(model, name)

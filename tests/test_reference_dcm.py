@@ -6,22 +6,30 @@ occurrence oracle, builds each duration table from the matcher's
 ``enumerate_occurrences`` under the occurrence cap, learns its rules with
 the pure-Python learner oracle and the pipeline's per-multiset seeds,
 rescoring every rule with the matcher's ``support``, and sorts the output
-by an order written out here.  ``dcm`` must render the same JSON.
+by an order written out here.  ``dcm`` must render the same JSON, on fixed
+cases and on small random datasets and configs.
 """
 
 import dataclasses
+import os
+import random
 import warnings
 from itertools import combinations, combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import chronomine.rules as rules
 from chronomine import (
     Chronicle,
     DcmConfig,
     MinedChronicle,
     OccurrenceCapWarning,
     PlantedPattern,
+    SequenceDataset,
     SyntheticSpec,
     dcm,
     enumerate_occurrences,
@@ -31,10 +39,10 @@ from chronomine import (
     support,
     translate,
 )
-from chronomine.pipeline import _multiset_seed
+from chronomine.pipeline import THREADS_ENV_VAR, _multiset_seed
 from chronomine.rules import DurationTable
 
-from conftest import brute_force_support
+from conftest import BOUNDED, brute_force_support, random_sequence
 from test_learner_oracle import oracle_induce_rules
 
 
@@ -135,3 +143,57 @@ def test_dcm_renders_the_reference_output(case, cap, reference_dataset):
         got = dcm(dataset, config)
     assert any(m.chronicle.constraints for m in got)  # some chronicle is learned
     assert render(got, "json") == render(reference_dcm(dataset, config), "json")
+
+
+def mined_json(dataset, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OccurrenceCapWarning)
+        return render(dcm(dataset, config), "json")
+
+
+#: How ``dcm`` also runs in some examples, as (environment, batch bound):
+#: in two processes, and with every table learned alone or all of a width
+#: in one batch.
+VARIANTS = {
+    "none": None,
+    "two processes": ({THREADS_ENV_VAR: "2"}, rules.BATCH_CELLS),
+    "batch bound 1": ({}, 1),
+    "batch bound 10**9": ({}, 10**9),
+}
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_pos=st.integers(8, 20),
+    n_neg=st.integers(4, 20),
+    cap=st.sampled_from([None, 1, 2, 5]),
+    min_size=st.integers(1, 2),
+    max_size=st.integers(2, 3),
+    sigma_min=st.sampled_from([1, 2, 3, 0.25, 0.5]),
+    g_min=st.floats(1.0, 3.0),
+    variant=st.sampled_from(sorted(VARIANTS)),
+)
+def test_dcm_renders_the_reference_output_on_random_data(
+    seed, n_pos, n_neg, cap, min_size, max_size, sigma_min, g_min, variant
+):
+    rng = random.Random(seed)
+    dataset = SequenceDataset.from_sequences(
+        [random_sequence(rng, f"p{k}", label="+") for k in range(n_pos)]
+        + [random_sequence(rng, f"n{k}", label="-") for k in range(n_neg)],
+        alphabet=("a", "b", "c"),
+    )
+    config = DcmConfig(
+        sigma_min=sigma_min,
+        g_min=g_min,
+        min_size=min_size,
+        max_size=max_size,
+        occurrence_cap=cap,
+        seed=seed % 7,
+    )
+    expected = render(reference_dcm(dataset, config), "json")
+    assert mined_json(dataset, config) == expected
+    if VARIANTS[variant] is not None:
+        environ, cells = VARIANTS[variant]
+        with mock.patch.dict(os.environ, environ), mock.patch.object(rules, "BATCH_CELLS", cells):
+            assert mined_json(dataset, config) == expected
